@@ -23,7 +23,7 @@ from .invariants import (
     InvariantReport,
     oracle_maximal_independent_sets,
 )
-from .regularity import bounds_report
+from .regularity import RegularityReport
 from .extremal import connected_with_reg, max_reg_cograph
 from .series import build_chain
 from .enumeration import (
@@ -96,7 +96,7 @@ def _cmd_analyze(args) -> int:
             )
     else:
         payload["cotree"] = cotree_to_json_dict(result)
-        report = bounds_report(g)
+        report = RegularityReport.from_cotree(g, result)
         payload["invariants"] = InvariantReport.from_cotree(g, result).to_json_dict()
         payload["regularity"] = report.to_json_dict()
         lines.append(f"cograph: yes, reg(S/J_G) = {report.reg}")

@@ -11,12 +11,14 @@ canonical form deciding cograph isomorphism.
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from .graph import Graph
 
 __all__ = [
     "Cotree",
     "CotreeError",
+    "CotreeSummary",
     "Join",
     "Leaf",
     "P4Witness",
@@ -30,6 +32,7 @@ __all__ = [
     "cotree_to_json_dict",
     "find_induced_p4",
     "is_simplicial",
+    "summarize_cotree",
 ]
 
 
@@ -131,14 +134,19 @@ def build_cotree(g: Graph):
     """Decompose g into a cotree, or certify failure with an induced P4.
 
     Returns a :class:`Cotree` whose reconstruction equals g when g is a
-    cograph, else a :class:`P4Witness`.  The recursion follows the
+    cograph, else a :class:`P4Witness`.  The decomposition follows the
     complement-reducible characterization: disconnected pieces become
     union nodes, pieces with disconnected complement become join nodes.
+    The witness comes from the first piece, depth first, that splits
+    neither way.
     """
-
-    def rec(vs: frozenset):
+    preorder = []
+    stack = [frozenset(range(g.n))]
+    while stack:
+        vs = stack.pop()
         if len(vs) == 1:
-            return Leaf(next(iter(vs)))
+            preorder.append(Leaf(next(iter(vs))))
+            continue
         comps = _components_within(g, vs, complemented=False)
         if len(comps) > 1:
             kind = Union
@@ -150,47 +158,96 @@ def build_cotree(g: Graph):
                 witness = _find_p4_within(g, vs)
                 assert witness is not None, "connected co-connected graph must contain a P4"
                 return witness
-        children = []
-        for comp in comps:
-            sub = rec(comp)
-            if isinstance(sub, P4Witness):
-                return sub
-            children.append(sub)
-        return kind(tuple(children))
+        preorder.append((kind, len(comps)))
+        stack.extend(reversed(comps))
+    return _from_preorder(preorder)
 
-    return rec(frozenset(range(g.n)))
+
+def _from_preorder(preorder: list) -> Cotree:
+    """The tree listed in preorder, each node a Leaf or (class, child count)."""
+    built = []
+    for item in reversed(preorder):
+        if isinstance(item, Leaf):
+            built.append(item)
+        else:
+            kind, k = item
+            built.append(kind(tuple(built.pop() for _ in range(k))))
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# the fold: every walk over a cotree goes through ``_postorder``, which
+# keeps its own stack, so cotrees of any depth are safe
 
 
-def cotree_leaves(t: Cotree) -> list:
-    if isinstance(t, Leaf):
-        return [t.v]
+def _postorder(t: Cotree) -> list:
+    """Every node of t, each after all of its children, children in order."""
     out = []
-    for c in t.children:
-        out.extend(cotree_leaves(c))
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, (Union, Join)):
+            stack.extend(node.children)
+        elif not isinstance(node, Leaf):
+            raise CotreeError(f"not a cotree node: {node!r}")
+    out.reverse()
     return out
 
 
+def _fold(t: Cotree, leaf, node):
+    """Fold t bottom-up: ``leaf(x)`` for leaves, ``node(x, child_values)`` else."""
+    values = []
+    for x in _postorder(t):
+        if isinstance(x, Leaf):
+            values.append(leaf(x))
+        else:
+            cut = len(values) - len(x.children)
+            parts = values[cut:]
+            del values[cut:]
+            values.append(node(x, parts))
+    return values[0]
+
+
+@dataclass(frozen=True)
+class CotreeSummary:
+    """Size, reg(S/J_G), alpha(G), i(G), c(G), the longest induced path
+    length ell and the canonical key of a cotree, from one fold."""
+
+    size: int
+    reg: int
+    alpha: int
+    num_max_indep: int
+    num_max_cliques: int
+    ell: int
+    key: bytes
+
+
+def _summary_node(x, parts) -> tuple:
+    sizes, regs, alphas, indeps, cliques, ells, keys = zip(*parts)
+    key = b",".join(sorted(keys))
+    if isinstance(x, Union):
+        return (sum(sizes), sum(regs), sum(alphas), prod(indeps), sum(cliques), max(ells),
+                b"U(" + key + b")")
+    # A join of leaves only is a complete graph; any other join has a
+    # union child, whose two non-adjacent vertices and a vertex of
+    # another child induce a 2-edge path.
+    complete = all(isinstance(c, Leaf) for c in x.children)
+    return (sum(sizes), 1 if complete else max(2, *regs), max(alphas), sum(indeps),
+            prod(cliques), 1 if complete else 2, b"J(" + key + b")")
+
+
+def summarize_cotree(t: Cotree) -> CotreeSummary:
+    """Size, regularity, invariants, ell and canonical key of t in one pass."""
+    return CotreeSummary(*_fold(t, lambda x: (1, 0, 1, 1, 1, 0, b"L"), _summary_node))
+
+
+def cotree_leaves(t: Cotree) -> list:
+    return [x.v for x in _postorder(t) if isinstance(x, Leaf)]
+
+
 def cotree_size(t: Cotree) -> int:
-    if isinstance(t, Leaf):
-        return 1
-    return sum(cotree_size(c) for c in t.children)
-
-
-def _validate(t: Cotree, parent_kind=None) -> None:
-    if isinstance(t, Leaf):
-        return
-    if not isinstance(t, (Union, Join)):
-        raise CotreeError(f"not a cotree node: {t!r}")
-    if len(t.children) < 2:
-        raise CotreeError("internal cotree nodes need at least 2 children")
-    if parent_kind is not None and isinstance(t, parent_kind):
-        raise CotreeError("union/join nodes must alternate")
-    for c in t.children:
-        _validate(c, type(t))
+    return summarize_cotree(t).size
 
 
 def cotree_to_graph(t: Cotree) -> Graph:
@@ -200,28 +257,25 @@ def cotree_to_graph(t: Cotree) -> Graph:
     (nodes with fewer than two children, a union child of a union, a
     join child of a join, bad labels) raise :class:`CotreeError`.
     """
-    _validate(t)
-    labels = cotree_leaves(t)
-    n = len(labels)
-    if sorted(labels) != list(range(n)):
-        raise CotreeError(f"leaf labels must be exactly 0..{n - 1}, got {sorted(labels)}")
-
     edges = []
 
-    def rec(node) -> list:
-        if isinstance(node, Leaf):
-            return [node.v]
-        parts = [rec(c) for c in node.children]
-        if isinstance(node, Join):
+    def merge(x, parts) -> list:
+        if len(parts) < 2:
+            raise CotreeError("internal cotree nodes need at least 2 children")
+        kind = type(x)
+        for c in x.children:
+            if isinstance(c, kind):
+                raise CotreeError("union/join nodes must alternate")
+        if isinstance(x, Join):
             for i, p in enumerate(parts):
                 for q in parts[i + 1:]:
                     edges.extend((u, v) for u in p for v in q)
-        merged = []
-        for p in parts:
-            merged.extend(p)
-        return merged
+        return [v for p in parts for v in p]
 
-    rec(t)
+    labels = _fold(t, lambda x: [x.v], merge)
+    n = len(labels)
+    if sorted(labels) != list(range(n)):
+        raise CotreeError(f"leaf labels must be exactly 0..{n - 1}, got {sorted(labels)}")
     return Graph(n, edges)
 
 
@@ -232,10 +286,7 @@ def canonical_key(t: Cotree) -> bytes:
     plus the lexicographically sorted child keys, so the key does not
     depend on leaf labels or child order.
     """
-    if isinstance(t, Leaf):
-        return b"L"
-    tag = b"U" if isinstance(t, Union) else b"J"
-    return tag + b"(" + b",".join(sorted(canonical_key(c) for c in t.children)) + b")"
+    return summarize_cotree(t).key
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +304,33 @@ def is_simplicial(g: Graph, v: int) -> bool:
 
 
 def cotree_to_json_dict(t: Cotree) -> dict:
-    if isinstance(t, Leaf):
-        return {"kind": "leaf", "v": t.v + 1}
-    kind = "union" if isinstance(t, Union) else "join"
-    return {"kind": kind, "children": [cotree_to_json_dict(c) for c in t.children]}
+    return _fold(
+        t,
+        lambda x: {"kind": "leaf", "v": x.v + 1},
+        lambda x, parts: {"kind": "union" if isinstance(x, Union) else "join", "children": parts},
+    )
 
 
 def cotree_from_json_dict(d: dict) -> Cotree:
-    try:
-        kind = d["kind"]
-    except (TypeError, KeyError):
-        raise CotreeError("cotree JSON needs a 'kind' field")
-    if kind == "leaf":
-        v = d.get("v")
-        if not isinstance(v, int) or v < 1:
-            raise CotreeError("leaf JSON needs a positive integer 'v'")
-        return Leaf(v - 1)
-    if kind in ("union", "join"):
-        children = tuple(cotree_from_json_dict(c) for c in d.get("children", ()))
-        if len(children) < 2:
-            raise CotreeError(f"{kind} node needs at least 2 children")
-        return (Union if kind == "union" else Join)(children)
-    raise CotreeError(f"unknown cotree node kind {kind!r}")
+    preorder = []
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        try:
+            kind = d["kind"]
+        except (TypeError, KeyError):
+            raise CotreeError("cotree JSON needs a 'kind' field")
+        if kind == "leaf":
+            v = d.get("v")
+            if not isinstance(v, int) or v < 1:
+                raise CotreeError("leaf JSON needs a positive integer 'v'")
+            preorder.append(Leaf(v - 1))
+        elif kind in ("union", "join"):
+            children = list(d.get("children", ()))
+            if len(children) < 2:
+                raise CotreeError(f"{kind} node needs at least 2 children")
+            preorder.append((Union if kind == "union" else Join, len(children)))
+            stack.extend(reversed(children))
+        else:
+            raise CotreeError(f"unknown cotree node kind {kind!r}")
+    return _from_preorder(preorder)

@@ -29,13 +29,10 @@ from .cotree import (
     Join,
     Leaf,
     Union,
-    canonical_key,
     cotree_to_graph,
+    summarize_cotree,
 )
 from .invariants import (
-    alpha_cotree,
-    count_max_cliques_cotree,
-    count_max_indep_cotree,
     oracle_longest_induced_path,
     oracle_maximal_independent_sets,
 )
@@ -43,7 +40,6 @@ from .regularity import (
     has_universal_vertex,
     is_extremal_characterized,
     order_bound,
-    reg_cograph,
 )
 
 __all__ = [
@@ -258,12 +254,10 @@ class VerificationReport:
 def _check_graph(n: int, t: Cotree, reg_fn) -> tuple:
     """Outcome of every per-graph check; None marks a non-applicable check."""
     g = cotree_to_graph(t)
-    reg = reg_fn(t)
+    summary = summarize_cotree(t)
+    reg = summary.reg if reg_fn is None else reg_fn(t)
     connected = not isinstance(t, Union)
     k, a, bound = order_bound(n, connected)
-    alpha = alpha_cotree(t)
-    num_indep = count_max_indep_cotree(t)
-    num_cliques = count_max_cliques_cotree(t)
 
     res = dict.fromkeys(CHECK_NAMES)
     res.pop("order_bound_achieved")  # aggregate, handled by the caller
@@ -274,8 +268,8 @@ def _check_graph(n: int, t: Cotree, reg_fn) -> tuple:
     if connected and k > 1 and a in (0, 2):
         target = 2 * k - 1 if a == 0 else 2 * k - 2
         res["connected_max_is_cone"] = reg != target or has_universal_vertex(g)
-    res["indep_bounds"] = reg <= min(num_indep, alpha)
-    res["clique_bound"] = reg <= num_cliques
+    res["indep_bounds"] = reg <= min(summary.num_max_indep, summary.alpha)
+    res["clique_bound"] = reg <= summary.num_max_cliques
     if connected:
         res["maxdeg_bound"] = reg <= max_degree(g)
     ell = oracle_longest_induced_path(g)
@@ -286,35 +280,30 @@ def _check_graph(n: int, t: Cotree, reg_fn) -> tuple:
         indep_sets = oracle_maximal_independent_sets(g)
         clique_sets = oracle_maximal_independent_sets(complement(g))
         res["invariant_recursions"] = (
-            alpha == max(len(s) for s in indep_sets)
-            and num_indep == len(indep_sets)
-            and num_cliques == len(clique_sets)
+            summary.alpha == max(len(s) for s in indep_sets)
+            and summary.num_max_indep == len(indep_sets)
+            and summary.num_max_cliques == len(clique_sets)
         )
-    return res, reg, connected
+    return res, reg, connected, summary.key
 
 
-def _run_items(items, reg_fn) -> tuple:
+def _run_items(items, reg_fn=None) -> tuple:
     counts = dict.fromkeys(CHECK_NAMES, 0)
     failures = {name: [] for name in CHECK_NAMES}
     max_reg_all = {}
     max_reg_disc = {}
     for n, t in items:
-        res, reg, connected = _check_graph(n, t, reg_fn)
-        key = canonical_key(t).decode("ascii")
+        res, reg, connected, key = _check_graph(n, t, reg_fn)
         for name, ok in res.items():
             if ok is None:
                 continue
             counts[name] += 1
             if not ok:
-                failures[name].append(key)
+                failures[name].append(key.decode("ascii"))
         max_reg_all[n] = max(max_reg_all.get(n, 0), reg)
         if not connected:
             max_reg_disc[n] = max(max_reg_disc.get(n, 0), reg)
     return counts, failures, max_reg_all, max_reg_disc
-
-
-def _verify_chunk(chunk):
-    return _run_items(chunk, reg_cograph)
 
 
 def verify_theorems(n_max: int, workers: int = 1, reg_fn=None) -> VerificationReport:
@@ -344,9 +333,9 @@ def verify_theorems(n_max: int, workers: int = 1, reg_fn=None) -> VerificationRe
     if workers > 1:
         chunks = [items[i::workers] for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_verify_chunk, chunks)
+            parts = pool.map(_run_items, chunks)
     else:
-        parts = [_run_items(items, reg_fn or reg_cograph)]
+        parts = [_run_items(items, reg_fn)]
 
     counts = dict.fromkeys(CHECK_NAMES, 0)
     failures = {name: [] for name in CHECK_NAMES}
@@ -444,16 +433,16 @@ def bound_comparison_table(n_max: int, refined_order_bound: bool = True) -> Boun
     total = connected_total = 0
     for n in range(1, n_max + 1):
         for t in enumerate_cotrees(n):
-            g = cotree_to_graph(t)
+            summary = summarize_cotree(t)
             connected = not isinstance(t, Union)
             total += 1
             connected_total += connected
             vals = {
                 "order_bound": order_bound(n, connected and refined_order_bound)[2],
-                "num_max_cliques": count_max_cliques_cotree(t),
-                "num_max_indep": count_max_indep_cotree(t),
-                "alpha": alpha_cotree(t),
-                "max_degree": max_degree(g) if connected else None,
+                "num_max_cliques": summary.num_max_cliques,
+                "num_max_indep": summary.num_max_indep,
+                "alpha": summary.alpha,
+                "max_degree": max_degree(cotree_to_graph(t)) if connected else None,
             }
             for r, rn in enumerate(BOUND_NAMES):
                 if vals[rn] is None:

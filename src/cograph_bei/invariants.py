@@ -1,16 +1,17 @@
 """Graph invariants via cotree recursions, plus brute-force oracles.
 
 The independence number, the number of maximal independent sets and the
-number of maximal cliques all satisfy one-line recursions over disjoint
-unions and joins, so for cographs they fall out of the cotree.  The
-oracle functions recompute the same quantities by exhaustive
-enumeration and exist to cross-check the recursions on small graphs.
+number of maximal cliques all satisfy one-line rules over disjoint
+unions and joins, so for cographs they are read from the cotree fold
+(``cotree.summarize_cotree``).  The oracle functions recompute the same
+quantities by exhaustive enumeration and exist to cross-check the rules
+on small graphs.
 """
 
 from dataclasses import dataclass
 
 from .graph import Graph, complement, max_degree
-from .cotree import Cotree, Leaf, Union
+from .cotree import Cotree, summarize_cotree
 
 __all__ = [
     "InvariantReport",
@@ -27,36 +28,17 @@ MAX_ORACLE_PATH_VERTICES = 12
 
 def alpha_cotree(t: Cotree) -> int:
     """Independence number: leaves count 1, unions add, joins take the max."""
-    if isinstance(t, Leaf):
-        return 1
-    parts = [alpha_cotree(c) for c in t.children]
-    return sum(parts) if isinstance(t, Union) else max(parts)
+    return summarize_cotree(t).alpha
 
 
 def count_max_indep_cotree(t: Cotree) -> int:
     """Number of maximal independent sets: unions multiply, joins add."""
-    if isinstance(t, Leaf):
-        return 1
-    parts = [count_max_indep_cotree(c) for c in t.children]
-    if isinstance(t, Union):
-        prod = 1
-        for p in parts:
-            prod *= p
-        return prod
-    return sum(parts)
+    return summarize_cotree(t).num_max_indep
 
 
 def count_max_cliques_cotree(t: Cotree) -> int:
     """Number of maximal cliques: the complement-dual of the previous count."""
-    if isinstance(t, Leaf):
-        return 1
-    parts = [count_max_cliques_cotree(c) for c in t.children]
-    if isinstance(t, Union):
-        return sum(parts)
-    prod = 1
-    for p in parts:
-        prod *= p
-    return prod
+    return summarize_cotree(t).num_max_cliques
 
 
 @dataclass(frozen=True)
@@ -68,10 +50,11 @@ class InvariantReport:
 
     @classmethod
     def from_cotree(cls, g: Graph, t: Cotree) -> "InvariantReport":
+        s = summarize_cotree(t)
         return cls(
-            alpha=alpha_cotree(t),
-            num_max_indep=count_max_indep_cotree(t),
-            num_max_cliques=count_max_cliques_cotree(t),
+            alpha=s.alpha,
+            num_max_indep=s.num_max_indep,
+            num_max_cliques=s.num_max_cliques,
             max_degree=max_degree(g),
         )
 

@@ -25,14 +25,7 @@ from .cotree import (
     Union,
     build_cotree,
     canonical_key,
-    cotree_size,
-)
-from .invariants import (
-    MAX_ORACLE_PATH_VERTICES,
-    alpha_cotree,
-    count_max_cliques_cotree,
-    count_max_indep_cotree,
-    oracle_longest_induced_path,
+    summarize_cotree,
 )
 
 __all__ = [
@@ -61,13 +54,7 @@ def reg_cograph(t: Cotree) -> int:
     Leaf 0; union nodes add; a join of leaves only is a complete graph
     with value 1, and any other join takes max(2, child values).
     """
-    if isinstance(t, Leaf):
-        return 0
-    if isinstance(t, Union):
-        return sum(reg_cograph(c) for c in t.children)
-    if all(isinstance(c, Leaf) for c in t.children):
-        return 1
-    return max(2, max(reg_cograph(c) for c in t.children))
+    return summarize_cotree(t).reg
 
 
 def order_bound(n: int, connected: bool) -> tuple:
@@ -99,37 +86,14 @@ def is_extremal_characterized(t: Cotree) -> bool:
     graphs of maximal regularity 2k - a.  For a = 2 the maximizers have
     no such description and a ValueError is raised.
     """
-    n = cotree_size(t)
+    components = t.children if isinstance(t, Union) else (t,)
+    parts = [summarize_cotree(comp) for comp in components]
+    n = sum(p.size for p in parts)
     _, a, _ = order_bound(n, connected=False)
     if a == 2:
         raise ValueError(f"extremal characterization applies to a in {{0, 1}}, got a=2 (n={n})")
-    components = t.children if isinstance(t, Union) else (t,)
-    p2 = p3 = 0
-    for comp in components:
-        key = canonical_key(comp)
-        if key == _P2_KEY:
-            p2 += 1
-        elif key == _P3_KEY:
-            p3 += 1
-        else:
-            return False
-    return p2 == a
-
-
-def _cograph_induced_path_length(t: Cotree, g: Graph) -> int:
-    # P4-free graphs only admit induced paths of length <= 2:
-    # 0 if edgeless, 1 if every component is complete, else 2.
-    if all(len(g.neighbors(v)) == 0 for v in range(g.n)):
-        return 0
-
-    def complete_components_only(node) -> bool:
-        comps = node.children if isinstance(node, Union) else (node,)
-        return all(
-            isinstance(c, Leaf) or (isinstance(c, Join) and all(isinstance(x, Leaf) for x in c.children))
-            for c in comps
-        )
-
-    return 1 if complete_components_only(t) else 2
+    keys = [p.key for p in parts]
+    return all(key in (_P2_KEY, _P3_KEY) for key in keys) and keys.count(_P2_KEY) == a
 
 
 @dataclass(frozen=True)
@@ -146,6 +110,27 @@ class RegularityReport:
     bound_c: int
     bound_maxdeg: int | None
     tight_order_bound: bool
+
+    @classmethod
+    def from_cotree(cls, g: Graph, t: Cotree) -> "RegularityReport":
+        """The report for g, read from its cotree t in one fold."""
+        s = summarize_cotree(t)
+        connected = not isinstance(t, Union)
+        k, a, bound = order_bound(g.n, connected)
+        return cls(
+            reg=s.reg,
+            n=g.n,
+            k=k,
+            a=a,
+            order_bound=bound,
+            lower_bound_ell=s.ell,
+            upper_matsuda=g.n - 1,
+            bound_i=s.num_max_indep,
+            bound_alpha=s.alpha,
+            bound_c=s.num_max_cliques,
+            bound_maxdeg=max_degree(g) if connected else None,
+            tight_order_bound=s.reg == bound,
+        )
 
     def to_json_dict(self) -> dict:
         d = {
@@ -170,31 +155,11 @@ def bounds_report(g: Graph) -> RegularityReport:
     """Exact regularity of a cograph together with every upper bound.
 
     Raises :class:`NotACographError` (carrying the induced-P4 witness)
-    if g is not a cograph.  The induced-path lower bound comes from the
-    exhaustive oracle at desk scale and from the P4-free structure
-    (length 0, 1 or 2) for larger graphs.
+    if g is not a cograph.  Every value, the induced-path lower bound
+    ell included, comes from one fold over the cotree; P4-free graphs
+    only have induced paths of length 0, 1 or 2.
     """
     t = build_cotree(g)
     if isinstance(t, P4Witness):
         raise NotACographError(t)
-    connected = not isinstance(t, Union)
-    reg = reg_cograph(t)
-    k, a, bound = order_bound(g.n, connected)
-    if g.n <= MAX_ORACLE_PATH_VERTICES:
-        ell = oracle_longest_induced_path(g)
-    else:
-        ell = _cograph_induced_path_length(t, g)
-    return RegularityReport(
-        reg=reg,
-        n=g.n,
-        k=k,
-        a=a,
-        order_bound=bound,
-        lower_bound_ell=ell,
-        upper_matsuda=g.n - 1,
-        bound_i=count_max_indep_cotree(t),
-        bound_alpha=alpha_cotree(t),
-        bound_c=count_max_cliques_cotree(t),
-        bound_maxdeg=max_degree(g) if connected else None,
-        tight_order_bound=reg == bound,
-    )
+    return RegularityReport.from_cotree(g, t)

@@ -1,9 +1,11 @@
 import io
 import json
+import sys
 
 import pytest
 
-from cograph_bei import graph_to_json_dict, max_reg_cograph
+from cograph_bei import P4Witness, build_cotree, cotree_size, graph_to_json_dict, max_reg_cograph
+from cograph_bei.graph import parse_graph
 from cograph_bei.cli import main
 
 
@@ -74,6 +76,36 @@ def test_analyze_pretty(capsys, monkeypatch):
                        monkeypatch=monkeypatch)
     assert code == 0
     assert "reg(S/J_G) = 2" in out
+
+
+def test_deep_threshold_graph_uses_no_frame_per_level(capsys, tmp_path):
+    # Odd vertices dominate everything before them and even ones stay
+    # isolated, so the cotree alternates union and join about n levels deep.
+    n = 300
+    lines = [f"n {n}"]
+    for v in range(1, n, 2):
+        lines.extend(f"{u + 1} {v + 1}" for u in range(v))
+    text = "\n".join(lines) + "\n"
+    f = tmp_path / "threshold.txt"
+    f.write_text(text)
+    g = parse_graph(text, "edgelist")
+
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        t = build_cotree(g)
+        code = main(["analyze", "--pretty", str(f)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not isinstance(t, P4Witness) and cotree_size(t) == n
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert "cograph: yes, reg(S/J_G) = 2" in out
 
 
 def test_verify_small_passes(capsys):

@@ -10,18 +10,24 @@ from cograph_bei import (
     Leaf,
     P4Witness,
     Union,
+    alpha_cotree,
     build_cotree,
     canonical_key,
     complete_graph,
     cotree_from_json_dict,
+    cotree_leaves,
+    cotree_size,
     cotree_to_graph,
     cotree_to_json_dict,
+    count_max_cliques_cotree,
+    count_max_indep_cotree,
     counterexample_base,
     cycle_graph,
     empty_graph,
     find_induced_p4,
     is_simplicial,
     path_graph,
+    reg_cograph,
 )
 
 from strategies import cograph_classes, graphs, permute_graph
@@ -189,3 +195,54 @@ def test_cotree_json_round_trip():
         cotree_from_json_dict({"kind": "leaf", "v": 0})
     with pytest.raises(CotreeError):
         cotree_from_json_dict({"kind": "union", "children": [{"kind": "leaf", "v": 1}]})
+
+    levels = DEEP_LEVELS
+    d = {"kind": "leaf", "v": 1}
+    for i in range(1, levels + 1):
+        d = {"kind": _level_kind(i), "children": [d, {"kind": "leaf", "v": i + 1}]}
+    node = cotree_from_json_dict(d)
+    for i in range(levels, 0, -1):
+        assert isinstance(node, Union if _level_kind(i) == "union" else Join)
+        assert len(node.children) == 2 and node.children[1] == Leaf(i)
+        node = node.children[0]
+    assert node == Leaf(0)
+
+
+# Ten thousand levels: far past the default recursion limit, so any walker
+# that spends a Python frame per cotree level raises RecursionError.
+DEEP_LEVELS = 10_000
+
+
+def _level_kind(i: int) -> str:
+    return "union" if i % 2 else "join"
+
+
+def test_every_wrapper_handles_a_deep_cotree():
+    # Level i puts the tree so far beside (union) or under (join) leaf i;
+    # the expected values follow the leaf/union/join rules level by level.
+    t = Leaf(0)
+    reg, alpha, indep, cliques, key = 0, 1, 1, 1, b"L"
+    for i in range(1, DEEP_LEVELS + 1):
+        kind = _level_kind(i)
+        complete = isinstance(t, Leaf)
+        t = (Union if kind == "union" else Join)((t, Leaf(i)))
+        tag = b"U" if kind == "union" else b"J"
+        key = tag + b"(" + b",".join(sorted([key, b"L"])) + b")"
+        if kind == "union":
+            alpha, cliques = alpha + 1, cliques + 1
+        else:
+            reg, indep = (1 if complete else max(2, reg)), indep + 1
+    assert reg_cograph(t) == reg == 2
+    assert alpha_cotree(t) == alpha
+    assert count_max_indep_cotree(t) == indep
+    assert count_max_cliques_cotree(t) == cliques
+    assert cotree_size(t) == DEEP_LEVELS + 1
+    assert cotree_leaves(t) == list(range(DEEP_LEVELS + 1))
+    assert canonical_key(t) == key
+
+    d = cotree_to_json_dict(t)
+    for i in range(DEEP_LEVELS, 0, -1):
+        assert d.keys() == {"kind", "children"} and d["kind"] == _level_kind(i)
+        assert len(d["children"]) == 2 and d["children"][1] == {"kind": "leaf", "v": i + 1}
+        d = d["children"][0]
+    assert d == {"kind": "leaf", "v": 1}

@@ -16,6 +16,7 @@ from cograph_bei import (
     is_complete,
     is_extremal_characterized,
     join,
+    oracle_longest_induced_path,
     order_bound,
     path_graph,
     reg_cograph,
@@ -109,6 +110,7 @@ def test_bounds_report_sandwich_on_all_small_cographs():
     for n in range(1, 8):
         for t in cograph_classes(n):
             rep = bounds_report(cotree_to_graph(t))
+            assert rep.lower_bound_ell == oracle_longest_induced_path(cotree_to_graph(t))
             upper = min(rep.order_bound, rep.bound_i, rep.bound_alpha, rep.bound_c,
                         rep.upper_matsuda)
             assert rep.lower_bound_ell <= rep.reg <= upper
@@ -125,7 +127,7 @@ def test_bounds_report_beyond_path_oracle_guard():
     rep = bounds_report(g)
     assert rep.lower_bound_ell == 2
     assert rep.reg == 9 and rep.order_bound == 9
-    # edgeless and union-of-cliques cases of the structural fallback
+    # edgeless and union-of-cliques cases of the structural rule
     assert bounds_report(empty_graph(15)).lower_bound_ell == 0
     assert bounds_report(disjoint_union(complete_graph(7), complete_graph(7))).lower_bound_ell == 1
 

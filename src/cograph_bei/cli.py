@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .graph import (
     GraphParseError,
@@ -48,11 +49,61 @@ def _worker_count() -> int:
     return min(cap, os.cpu_count() or 1)
 
 
+# The two scalar types that fill large payloads; json.dumps writes the rest.
+_SCALAR_JSON = {str: encode_basestring_ascii, int: int.__repr__}
+_END = object()
+
+
+def _json_text(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, for any nesting depth.
+
+    The standard encoder recurses once per nesting level when it
+    indents, and cotree JSON nests two levels per cotree level, so this
+    writer keeps its open containers on an explicit stack.
+    """
+    chunks = []
+    stack = []  # (item iterator, closing bracket, is_dict) per open container
+    lines = ["\n"]  # lines[d]: a newline and the indentation of depth d
+    value = obj
+    while True:
+        encode = _SCALAR_JSON.get(type(value))
+        opened = False
+        if encode is not None:
+            chunks.append(encode(value))
+        elif isinstance(value, dict) and value:
+            chunks.append("{")
+            stack.append((iter(value.items()), "}", True))
+            opened = True
+        elif isinstance(value, (list, tuple)) and value:
+            chunks.append("[")
+            stack.append((iter(value), "]", False))
+            opened = True
+        else:
+            chunks.append(json.dumps(value))  # other scalars, empty containers
+        if len(lines) == len(stack):
+            lines.append(lines[-1] + "  ")
+        while stack:
+            items, close, is_dict = stack[-1]
+            value = next(items, _END)
+            if value is not _END:
+                break
+            stack.pop()
+            chunks += (lines[len(stack)], close)
+        else:
+            return "".join(chunks)
+        if not opened:
+            chunks.append(",")
+        chunks.append(lines[len(stack)])
+        if is_dict:
+            key, value = value
+            chunks += (encode_basestring_ascii(key), ": ")
+
+
 def _emit(args, payload: dict, pretty_text: str) -> None:
     if args.pretty:
         print(pretty_text)
     else:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
 
 
 def _read_input(path: str) -> str:
@@ -139,13 +190,14 @@ def _cmd_generate(args) -> int:
             )
             _emit(args, report.to_json_dict(), pretty)
             return 0
+        text = None if args.format == "json" else serialize_graph(g, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
+    if text is None:
         _emit(args, graph_to_json_dict(g), serialize_graph(g, "edgelist"))
     else:
-        print(serialize_graph(g, args.format), end="")
+        print(text, end="")
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
-from .graph import Graph
+from .graph import Graph, _components_within
 
 __all__ = [
     "Cotree",
@@ -73,30 +73,6 @@ class CotreeError(ValueError):
 
 # ---------------------------------------------------------------------------
 # recognition
-
-
-def _components_within(g: Graph, vs: frozenset, complemented: bool) -> list:
-    """Components of g (or of its complement) restricted to vs, by min vertex."""
-    remaining = set(vs)
-    comps = []
-    for start in sorted(vs):
-        if start not in remaining:
-            continue
-        comp = {start}
-        remaining.discard(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if complemented:
-                nbrs = remaining - g.neighbors(v)
-            else:
-                nbrs = remaining & g.neighbors(v)
-            for w in nbrs:
-                remaining.discard(w)
-                comp.add(w)
-                stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
 
 
 def _find_p4_within(g: Graph, vs) -> P4Witness | None:

@@ -12,13 +12,6 @@ from .graph import Graph, complete_graph, disjoint_union, join, path_graph
 __all__ = ["cone", "connected_with_reg", "max_reg_cograph"]
 
 
-def _union_of(parts) -> Graph:
-    g = parts[0]
-    for h in parts[1:]:
-        g = disjoint_union(g, h)
-    return g
-
-
 def max_reg_cograph(n: int) -> Graph:
     """A cograph on n >= 2 vertices with the maximal regularity 2k - a."""
     if n < 2:
@@ -32,7 +25,7 @@ def max_reg_cograph(n: int) -> Graph:
         parts = [p3] * (k - 1) + [p2]
     else:
         parts = [p3] * (k - 2) + [p2, p2]
-    return _union_of(parts)
+    return disjoint_union(*parts)
 
 
 def cone(g: Graph) -> Graph:
@@ -55,4 +48,4 @@ def connected_with_reg(r: int) -> Graph:
         parts = [p3] * (r // 2)
     else:
         parts = [p3] * ((r - 1) // 2) + [p2]
-    return cone(_union_of(parts))
+    return cone(disjoint_union(*parts))

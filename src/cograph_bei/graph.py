@@ -43,7 +43,7 @@ class Graph:
     (set semantics).  Loops and out-of-range endpoints are rejected.
     """
 
-    __slots__ = ("n", "_adj", "_edge_set")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges=()):
         if n < 1:
@@ -58,9 +58,6 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self._adj = tuple(frozenset(s) for s in adj)
-        self._edge_set = frozenset(
-            (u, v) for u in range(n) for v in adj[u] if u < v
-        )
 
     def neighbors(self, v: int) -> frozenset:
         if not 0 <= v < self.n:
@@ -75,19 +72,19 @@ class Graph:
 
     def edges(self) -> list:
         """Edges as sorted (u, v) pairs with u < v."""
-        return sorted(self._edge_set)
+        return [(u, v) for u, nbrs in enumerate(self._adj) for v in sorted(nbrs) if u < v]
 
     @property
     def edge_count(self) -> int:
-        return len(self._edge_set)
+        return sum(map(len, self._adj)) // 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edge_set == other._edge_set
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edge_set))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {self.edges()!r})"
@@ -132,40 +129,51 @@ def complement(g: Graph) -> Graph:
     )
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union; h's vertices are shifted up by g.n."""
-    edges = list(g._edge_set)
-    edges.extend((u + g.n, v + g.n) for u, v in h._edge_set)
-    return Graph(g.n + h.n, edges)
+def disjoint_union(*graphs: Graph) -> Graph:
+    """Disjoint union; each graph's vertices are shifted past the ones before it."""
+    edges = []
+    offset = 0
+    for g in graphs:
+        edges.extend((u + offset, v + offset) for u, v in g.edges())
+        offset += g.n
+    return Graph(offset, edges)
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets."""
-    edges = list(g._edge_set)
-    edges.extend((u + g.n, v + g.n) for u, v in h._edge_set)
+    edges = g.edges()
+    edges.extend((u + g.n, v + g.n) for u, v in h.edges())
     edges.extend((u, v + g.n) for u in range(g.n) for v in range(h.n))
     return Graph(g.n + h.n, edges)
 
 
-def connected_components(g: Graph) -> list:
-    """Partition of the vertices into components, ordered by minimum vertex."""
-    seen = [False] * g.n
+def _components_within(g: Graph, vs, complemented: bool) -> list:
+    """Components of g (or of its complement) restricted to vs, by min vertex."""
+    remaining = set(vs)
     comps = []
-    for start in range(g.n):
-        if seen[start]:
+    for start in sorted(vs):
+        if start not in remaining:
             continue
-        seen[start] = True
         comp = {start}
+        remaining.discard(start)
         stack = [start]
         while stack:
             v = stack.pop()
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    stack.append(w)
+            if complemented:
+                nbrs = remaining - g.neighbors(v)
+            else:
+                nbrs = remaining & g.neighbors(v)
+            for w in nbrs:
+                remaining.discard(w)
+                comp.add(w)
+                stack.append(w)
         comps.append(frozenset(comp))
     return comps
+
+
+def connected_components(g: Graph) -> list:
+    """Partition of the vertices into components, ordered by minimum vertex."""
+    return _components_within(g, range(g.n), complemented=False)
 
 
 def is_connected(g: Graph) -> bool:
@@ -183,7 +191,7 @@ def induced_subgraph(g: Graph, vs) -> Graph:
     keep = set(order)
     edges = [
         (index[u], index[v])
-        for u, v in g._edge_set
+        for u, v in g.edges()
         if u in keep and v in keep
     ]
     return Graph(len(order), edges)

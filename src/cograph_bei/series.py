@@ -279,17 +279,18 @@ def build_chain(k: int) -> ChainReport:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     base_graph, base_series, base_reg = counterexample_base()
-    graph = base_graph
+    # Copy i keeps label 7i + w for base vertex w >= 1; from the second
+    # copy on, its vertex 0 is glued onto vertex 1 of copy i - 1, which
+    # is label 7i - 6.  These are the labels repeated glue_graphs gives.
+    edges = []
+    for i in range(k):
+        label = [7 * i - 6 if i else 0] + [7 * i + w for w in range(1, 8)]
+        edges.extend((label[u], label[v]) for u, v in base_graph.edges())
+    graph = Graph(7 * k + 1, edges)
     series = base_series
-    reg = base_reg
-    free_end = 1  # image of the base graph's second free vertex
     for _ in range(k - 1):
-        prev_n = graph.n
-        graph = glue_graphs(graph, free_end, base_graph, 0)
-        # base vertex 1 is the smallest unmerged label, so it lands first
-        free_end = prev_n
         series = series_glue(series, base_series)
-        reg += base_reg
+    reg = k * base_reg
     return ChainReport(
         k=k,
         graph=graph,

@@ -3,10 +3,19 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
-from cograph_bei import P4Witness, build_cotree, cotree_size, graph_to_json_dict, max_reg_cograph
+from cograph_bei import (
+    P4Witness,
+    build_cotree,
+    cotree_from_json_dict,
+    cotree_size,
+    cotree_to_graph,
+    graph_to_json_dict,
+    max_reg_cograph,
+)
 from cograph_bei.graph import parse_graph
-from cograph_bei.cli import main
+from cograph_bei.cli import _json_text, main
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -100,12 +109,27 @@ def test_deep_threshold_graph_uses_no_frame_per_level(capsys, tmp_path):
     try:
         t = build_cotree(g)
         code = main(["analyze", "--pretty", str(f)])
+        pretty, _ = capsys.readouterr()
+        json_code = main(["analyze", str(f)])
     finally:
         sys.setrecursionlimit(limit)
     assert not isinstance(t, P4Witness) and cotree_size(t) == n
-    out, _ = capsys.readouterr()
     assert code == 0
-    assert "cograph: yes, reg(S/J_G) = 2" in out
+    assert "cograph: yes, reg(S/J_G) = 2" in pretty
+    out, _ = capsys.readouterr()
+    assert json_code == 0
+    assert cotree_to_graph(cotree_from_json_dict(json.loads(out)["cotree"])) == g
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+)
+
+
+@given(json_values)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
 
 
 def test_verify_small_passes(capsys):
@@ -182,6 +206,8 @@ def test_generate_invalid_parameters(capsys):
     assert code == 2 and "r >= 1" in err
     code, _, err = run(capsys, ["generate", "chain", "--k", "0"])
     assert code == 2 and "k >= 1" in err
+    code, out, err = run(capsys, ["generate", "cone", "--r", "1000", "--format", "graph6"])
+    assert code == 2 and out == "" and err.startswith("error:") and "n <= 62" in err
 
 
 def test_table(capsys):

@@ -31,6 +31,9 @@ def test_graph_basic_validation():
     g = Graph(3, [(0, 1), (1, 0), (1, 2)])  # duplicate collapses silently
     assert g.edges() == [(0, 1), (1, 2)]
     assert g.neighbors(1) == frozenset({0, 2})
+    same = Graph(3, [(2, 1), (0, 1)])  # other order and orientation
+    assert same == g and hash(same) == hash(g)
+    assert Graph(4, g.edges()) != g
     with pytest.raises(ValueError, match="loop"):
         Graph(2, [(0, 0)])
     with pytest.raises(ValueError, match="out of range"):
@@ -141,6 +144,9 @@ def test_disjoint_union_examples():
     g = disjoint_union(path_graph(3), path_graph(2))
     assert g.n == 5 and g.edge_count == 3
     assert [len(c) for c in connected_components(g)] == [3, 2]
+    three = disjoint_union(complete_graph(2), empty_graph(1), path_graph(3))
+    assert three == Graph(6, [(0, 1), (3, 4), (4, 5)])
+    assert disjoint_union(three) == three
 
 
 @given(graphs(max_n=6), graphs(max_n=6))

@@ -188,8 +188,14 @@ def test_build_chain_small():
 
 def test_build_chain_growth():
     base = IntPoly([1, 7, 17, 13])
+    base_graph = counterexample_base()[0]
+    glued, free_end = base_graph, 1
     for k in range(1, 6):
         rep = build_chain(k)
+        # reference: glue one copy at a time along free vertices
+        if k > 1:
+            glued, free_end = glue_graphs(glued, free_end, base_graph, 0), glued.n
+        assert rep.graph == glued
         assert rep.gap == k
         assert rep.n_vertices == 7 * k + 1
         assert rep.series.denom_exp == 7 * k + 2

@@ -6,7 +6,6 @@ codes: 0 success, 1 verification failure, 2 usage or parse errors.
 
 import argparse
 import json
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -32,22 +31,6 @@ from .enumeration import (
     bound_comparison_table,
     verify_theorems,
 )
-
-THREADS_ENV = "COGRAPH_BEI_THREADS"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"{THREADS_ENV} must be at least 1")
-    return min(cap, os.cpu_count() or 1)
-
 
 # The two scalar types that fill large payloads; json.dumps writes the rest.
 _SCALAR_JSON = {str: encode_basestring_ascii, int: int.__repr__}
@@ -116,7 +99,7 @@ def _read_input(path: str) -> str:
 def _cmd_analyze(args) -> int:
     try:
         text = _read_input(args.input)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     try:
@@ -164,12 +147,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        workers = _worker_count()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = verify_theorems(args.max_n, workers=workers)
+    report = verify_theorems(args.max_n)
     _emit(args, report.to_json_dict(), report.to_text())
     return 0 if report.passed else 1
 
@@ -208,7 +186,10 @@ def _cmd_table(args) -> int:
 
 
 def _max_n_type(raw: str) -> int:
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
     if not 1 <= value <= MAX_VERIFY_VERTICES:
         raise argparse.ArgumentTypeError(
             f"must be between 1 and {MAX_VERIFY_VERTICES}, got {value}"

@@ -10,10 +10,9 @@ canonical form deciding cograph isomorphism.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import prod
 
-from .graph import Graph, _components_within
+from .graph import Graph, _bits, _components_within
 
 __all__ = [
     "Cotree",
@@ -75,35 +74,49 @@ class CotreeError(ValueError):
 # recognition
 
 
-def _find_p4_within(g: Graph, vs) -> P4Witness | None:
-    for quad in combinations(sorted(vs), 4):
-        deg = [0, 0, 0, 0]
-        m = 0
-        for i, j in combinations(range(4), 2):
-            if g.has_edge(quad[i], quad[j]):
-                deg[i] += 1
-                deg[j] += 1
-                m += 1
-        if m != 3 or sorted(deg) != [1, 1, 2, 2]:
-            continue
-        start = min(i for i in range(4) if deg[i] == 1)
-        path = [start]
-        prev = -1
-        while len(path) < 4:
-            cur = path[-1]
-            nxt = next(
-                i
-                for i in range(4)
-                if i != prev and i != cur and g.has_edge(quad[cur], quad[i])
-            )
-            prev, path = cur, path + [nxt]
-        return P4Witness(*(quad[i] for i in path))
+def _find_p4_within(g: Graph, vs: int) -> P4Witness | None:
+    """The lex-first induced P4 inside the vertex mask vs, or None.
+
+    Each triple a < b < c is extended by the lowest fourth vertex d > c
+    that completes an induced P4.  Three vertices of a P4 induce either
+    a 2-edge path x-y-z, which d extends at one end (adjacent to exactly
+    one of x and z, not to y), or an edge xy plus a vertex z, which d
+    links to one end of the edge.  The path is walked from its smaller
+    end.
+    """
+    adj = g._adj
+    for a in _bits(vs):
+        for b in _bits(vs >> a + 1 << a + 1):
+            if adj[a] >> b & 1:
+                # an edge ab: a triangle abc extends to no P4
+                cs = ~(adj[a] & adj[b])
+            else:
+                # a non-edge ab: an edgeless triple extends to no P4
+                cs = adj[a] | adj[b]
+            for c in _bits(cs & vs >> b + 1 << b + 1):
+                ab, ac, bc = adj[a] >> b & 1, adj[a] >> c & 1, adj[b] >> c & 1
+                two_edges = ab + ac + bc == 2
+                if two_edges:
+                    x, y, z = (b, a, c) if not bc else (a, b, c) if not ac else (a, c, b)
+                    ds = (adj[x] ^ adj[z]) & ~adj[y]
+                else:
+                    x, y, z = (a, b, c) if ab else (a, c, b) if ac else (b, c, a)
+                    ds = adj[z] & (adj[x] ^ adj[y])
+                ds &= vs >> c + 1 << c + 1
+                if not ds:
+                    continue
+                d = (ds & -ds).bit_length() - 1
+                if two_edges:
+                    path = (d, x, y, z) if adj[x] >> d & 1 else (x, y, z, d)
+                else:
+                    path = (z, d, x, y) if adj[x] >> d & 1 else (z, d, y, x)
+                return P4Witness(*(path if path[0] < path[3] else path[::-1]))
     return None
 
 
 def find_induced_p4(g: Graph) -> P4Witness | None:
     """First induced P4 in lexicographic quadruple order, or None."""
-    return _find_p4_within(g, range(g.n))
+    return _find_p4_within(g, (1 << g.n) - 1)
 
 
 def build_cotree(g: Graph):
@@ -117,11 +130,11 @@ def build_cotree(g: Graph):
     neither way.
     """
     preorder = []
-    stack = [frozenset(range(g.n))]
+    stack = [(1 << g.n) - 1]  # vertex masks of the pieces still to split
     while stack:
         vs = stack.pop()
-        if len(vs) == 1:
-            preorder.append(Leaf(next(iter(vs))))
+        if not vs & (vs - 1):
+            preorder.append(Leaf(vs.bit_length() - 1))
             continue
         comps = _components_within(g, vs, complemented=False)
         if len(comps) > 1:
@@ -271,8 +284,8 @@ def canonical_key(t: Cotree) -> bytes:
 
 def is_simplicial(g: Graph, v: int) -> bool:
     """True iff the neighborhood of v induces a complete subgraph."""
-    nbrs = g.neighbors(v)
-    return all(g.has_edge(u, w) for u, w in combinations(sorted(nbrs), 2))
+    nbrs = g._mask(v)
+    return all(nbrs & ~g._adj[u] == 1 << u for u in _bits(nbrs))
 
 
 # ---------------------------------------------------------------------------

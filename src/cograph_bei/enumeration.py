@@ -13,7 +13,6 @@ cograph; ``bound_comparison_table`` tallies which upper bound wins how
 often.
 """
 
-import multiprocessing
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -287,26 +286,7 @@ def _check_graph(n: int, t: Cotree, reg_fn) -> tuple:
     return res, reg, connected, summary.key
 
 
-def _run_items(items, reg_fn=None) -> tuple:
-    counts = dict.fromkeys(CHECK_NAMES, 0)
-    failures = {name: [] for name in CHECK_NAMES}
-    max_reg_all = {}
-    max_reg_disc = {}
-    for n, t in items:
-        res, reg, connected, key = _check_graph(n, t, reg_fn)
-        for name, ok in res.items():
-            if ok is None:
-                continue
-            counts[name] += 1
-            if not ok:
-                failures[name].append(key.decode("ascii"))
-        max_reg_all[n] = max(max_reg_all.get(n, 0), reg)
-        if not connected:
-            max_reg_disc[n] = max(max_reg_disc.get(n, 0), reg)
-    return counts, failures, max_reg_all, max_reg_disc
-
-
-def verify_theorems(n_max: int, workers: int = 1, reg_fn=None) -> VerificationReport:
+def verify_theorems(n_max: int, reg_fn=None) -> VerificationReport:
     """Run every check on every cograph isomorphism class with n <= n_max.
 
     Per-graph checks: the order bound with its connected refinement,
@@ -318,37 +298,29 @@ def verify_theorems(n_max: int, workers: int = 1, reg_fn=None) -> VerificationRe
     ``order_bound_achieved`` check confirms the cap 2k - a is attained
     at every n, by a disconnected cograph once n >= 4.
 
-    ``workers`` > 1 splits the graphs over a process pool; the merge is
-    commutative, so results do not depend on the schedule.  ``reg_fn``
-    substitutes the regularity recursion (sequential only), which lets
-    tests confirm the checks would catch a wrong rule.
+    ``reg_fn`` substitutes the regularity recursion, which lets tests
+    confirm the checks would catch a wrong rule.
     """
     if not 1 <= n_max <= MAX_VERIFY_VERTICES:
         raise ValueError(
             f"verification is limited to 1 <= n_max <= {MAX_VERIFY_VERTICES}, got {n_max}"
         )
-    items = [(n, t) for n in range(1, n_max + 1) for t in enumerate_cotrees(n)]
-    if workers > 1 and reg_fn is not None:
-        raise ValueError("a custom reg_fn runs sequentially; use workers=1")
-    if workers > 1:
-        chunks = [items[i::workers] for i in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_run_items, chunks)
-    else:
-        parts = [_run_items(items, reg_fn)]
-
     counts = dict.fromkeys(CHECK_NAMES, 0)
     failures = {name: [] for name in CHECK_NAMES}
     max_reg_all = {}
     max_reg_disc = {}
-    for part_counts, part_failures, part_all, part_disc in parts:
-        for name in CHECK_NAMES:
-            counts[name] += part_counts[name]
-            failures[name].extend(part_failures[name])
-        for n, r in part_all.items():
-            max_reg_all[n] = max(max_reg_all.get(n, 0), r)
-        for n, r in part_disc.items():
-            max_reg_disc[n] = max(max_reg_disc.get(n, 0), r)
+    for n in range(1, n_max + 1):
+        for t in enumerate_cotrees(n):
+            res, reg, connected, key = _check_graph(n, t, reg_fn)
+            for name, ok in res.items():
+                if ok is None:
+                    continue
+                counts[name] += 1
+                if not ok:
+                    failures[name].append(key.decode("ascii"))
+            max_reg_all[n] = max(max_reg_all.get(n, 0), reg)
+            if not connected:
+                max_reg_disc[n] = max(max_reg_disc.get(n, 0), reg)
 
     # Achievability of the cap 2k - a.  For n in {2, 3} the only
     # maximizers (one edge, the 2-edge path) are connected, so the

@@ -1,4 +1,4 @@
-"""Simple undirected graphs as immutable adjacency-set values.
+"""Simple undirected graphs as immutable adjacency-bitmask values.
 
 Vertices are numbered ``0 .. n-1`` in the Python API.  The text formats
 (edge list, graph6, JSON) label vertices ``1 .. n``, which is the usual
@@ -41,6 +41,11 @@ class Graph:
 
     ``edges`` may list a pair in either orientation and may repeat pairs
     (set semantics).  Loops and out-of-range endpoints are rejected.
+
+    Adjacency is one ``int`` bitmask per vertex: bit v of ``_adj[u]`` is
+    set iff uv is an edge.  A vertex set is likewise a mask with bit v
+    set for each member v; every graph algorithm in the package works on
+    these masks.
     """
 
     __slots__ = ("n", "_adj")
@@ -48,35 +53,39 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
-        adj = [set() for _ in range(n)]
+        adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._adj = tuple(adj)
 
-    def neighbors(self, v: int) -> frozenset:
+    def _mask(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
         return self._adj[v]
 
+    def neighbors(self, v: int) -> frozenset:
+        return frozenset(_bits(self._mask(v)))
+
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return self._mask(v).bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors(u)
+        mask = self._mask(u)
+        return v >= 0 and bool(mask >> v & 1)
 
     def edges(self) -> list:
         """Edges as sorted (u, v) pairs with u < v."""
-        return [(u, v) for u, nbrs in enumerate(self._adj) for v in sorted(nbrs) if u < v]
+        return [(u, u + i) for u, m in enumerate(self._adj) for i in _bits(m >> u)]
 
     @property
     def edge_count(self) -> int:
-        return sum(map(len, self._adj)) // 2
+        return sum(m.bit_count() for m in self._adj) // 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -88,6 +97,14 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {self.edges()!r})"
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first, as bit positions."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +136,10 @@ def cycle_graph(n: int) -> Graph:
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges."""
+    full = (1 << g.n) - 1
     return Graph(
         g.n,
-        (
-            (u, v)
-            for u, v in combinations(range(g.n), 2)
-            if not g.has_edge(u, v)
-        ),
+        ((u, v) for u, m in enumerate(g._adj) for v in _bits(full & ~m >> u + 1 << u + 1)),
     )
 
 
@@ -147,33 +161,42 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, edges)
 
 
-def _components_within(g: Graph, vs, complemented: bool) -> list:
-    """Components of g (or of its complement) restricted to vs, by min vertex."""
-    remaining = set(vs)
+def _components_within(g: Graph, vs: int, complemented: bool) -> list:
+    """Components of g (or of its complement) inside the vertex mask vs.
+
+    Returns vertex masks ordered by minimum vertex.  In the complement,
+    a frontier reaches every remaining vertex that is not adjacent in g
+    to all of the frontier.
+    """
+    adj = g._adj
+    remaining = vs
     comps = []
-    for start in sorted(vs):
-        if start not in remaining:
-            continue
-        comp = {start}
-        remaining.discard(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
+    while remaining:
+        frontier = remaining & -remaining
+        comp = 0
+        while frontier:
+            comp |= frontier
+            remaining ^= frontier
             if complemented:
-                nbrs = remaining - g.neighbors(v)
+                common = -1
+                for v in _bits(frontier):
+                    common &= adj[v]
+                frontier = remaining & ~common
             else:
-                nbrs = remaining & g.neighbors(v)
-            for w in nbrs:
-                remaining.discard(w)
-                comp.add(w)
-                stack.append(w)
-        comps.append(frozenset(comp))
+                reach = 0
+                for v in _bits(frontier):
+                    reach |= adj[v]
+                frontier = remaining & reach
+        comps.append(comp)
     return comps
 
 
 def connected_components(g: Graph) -> list:
     """Partition of the vertices into components, ordered by minimum vertex."""
-    return _components_within(g, range(g.n), complemented=False)
+    return [
+        frozenset(_bits(c))
+        for c in _components_within(g, (1 << g.n) - 1, complemented=False)
+    ]
 
 
 def is_connected(g: Graph) -> bool:
@@ -188,17 +211,17 @@ def induced_subgraph(g: Graph, vs) -> Graph:
     if order[0] < 0 or order[-1] >= g.n:
         raise ValueError(f"vertex set {order} out of range for n={g.n}")
     index = {v: i for i, v in enumerate(order)}
-    keep = set(order)
+    keep = sum(1 << v for v in order)
     edges = [
         (index[u], index[v])
-        for u, v in g.edges()
-        if u in keep and v in keep
+        for u in order
+        for v in _bits(g._adj[u] & keep >> u << u)
     ]
     return Graph(len(order), edges)
 
 
 def max_degree(g: Graph) -> int:
-    return max(len(g.neighbors(v)) for v in range(g.n))
+    return max(m.bit_count() for m in g._adj)
 
 
 def is_complete(g: Graph) -> bool:

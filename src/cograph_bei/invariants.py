@@ -10,7 +10,7 @@ on small graphs.
 
 from dataclasses import dataclass
 
-from .graph import Graph, complement, max_degree
+from .graph import Graph, _bits, complement, max_degree
 from .cotree import Cotree, summarize_cotree
 
 __all__ = [
@@ -73,19 +73,20 @@ class InvariantReport:
 
 
 def _maximal_cliques(g: Graph):
-    """Bron-Kerbosch with pivoting; yields maximal cliques as sets."""
+    """Bron-Kerbosch with pivoting; yields maximal cliques as vertex masks."""
+    adj = g._adj
 
     def expand(clique, candidates, excluded):
         if not candidates and not excluded:
-            yield frozenset(clique)
+            yield clique
             return
-        pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & g.neighbors(u)))
-        for v in sorted(candidates - g.neighbors(pivot)):
-            yield from expand(clique | {v}, candidates & g.neighbors(v), excluded & g.neighbors(v))
-            candidates = candidates - {v}
-            excluded = excluded | {v}
+        pivot = max(_bits(candidates | excluded), key=lambda u: (candidates & adj[u]).bit_count())
+        for v in _bits(candidates & ~adj[pivot]):
+            yield from expand(clique | 1 << v, candidates & adj[v], excluded & adj[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
 
-    yield from expand(frozenset(), frozenset(range(g.n)), frozenset())
+    yield from expand(0, (1 << g.n) - 1, 0)
 
 
 def oracle_maximal_independent_sets(g: Graph) -> list:
@@ -98,8 +99,8 @@ def oracle_maximal_independent_sets(g: Graph) -> list:
         raise ValueError(
             f"independent-set oracle is limited to n <= {MAX_ORACLE_SET_VERTICES}, got {g.n}"
         )
-    sets = list(_maximal_cliques(complement(g)))
-    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+    sets = [tuple(_bits(s)) for s in _maximal_cliques(complement(g))]
+    return [frozenset(s) for s in sorted(sets, key=lambda s: (len(s), s))]
 
 
 def oracle_longest_induced_path(g: Graph) -> int:
@@ -114,23 +115,16 @@ def oracle_longest_induced_path(g: Graph) -> int:
         raise ValueError(
             f"induced-path oracle is limited to n <= {MAX_ORACLE_PATH_VERTICES}, got {g.n}"
         )
+    adj = g._adj
     best = 0
 
-    def extend(path, in_path):
+    def extend(last, length, in_path, forbidden):
+        # forbidden: every neighbour of a path vertex before ``last``
         nonlocal best
-        best = max(best, len(path) - 1)
-        last = path[-1]
-        forbidden = set()
-        for v in path[:-1]:
-            forbidden |= g.neighbors(v)
-        for w in sorted(g.neighbors(last)):
-            if w not in in_path and w not in forbidden:
-                path.append(w)
-                in_path.add(w)
-                extend(path, in_path)
-                in_path.discard(w)
-                path.pop()
+        best = max(best, length)
+        for w in _bits(adj[last] & ~(in_path | forbidden)):
+            extend(w, length + 1, in_path | 1 << w, forbidden | adj[last])
 
     for start in range(g.n):
-        extend([start], {start})
+        extend(start, 0, 1 << start, 0)
     return best

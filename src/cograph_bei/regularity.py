@@ -71,7 +71,7 @@ def order_bound(n: int, connected: bool) -> tuple:
 
 def has_universal_vertex(g: Graph) -> bool:
     """True iff some vertex is adjacent to all others (g is a cone)."""
-    return any(len(g.neighbors(v)) == g.n - 1 for v in range(g.n))
+    return any(m.bit_count() == g.n - 1 for m in g._adj)
 
 
 _P2_KEY = canonical_key(Join((Leaf(0), Leaf(1))))

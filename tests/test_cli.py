@@ -80,6 +80,15 @@ def test_analyze_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_analyze_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"n 2\n1 2\xff\n")
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read input: ") and "0xff" in err
+
+
 def test_analyze_pretty(capsys, monkeypatch):
     code, out, _ = run(capsys, ["analyze", "--pretty"], stdin="n 3\n1 2\n2 3\n",
                        monkeypatch=monkeypatch)
@@ -156,16 +165,11 @@ def test_verify_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--max-n", "11"])
     assert exc.value.code == 2
-
-
-def test_verify_env_workers(capsys, monkeypatch):
-    monkeypatch.setenv("COGRAPH_BEI_THREADS", "2")
-    code, out, _ = run(capsys, ["verify", "--max-n", "3"])
-    assert code == 0
-    monkeypatch.setenv("COGRAPH_BEI_THREADS", "zero")
-    code, _, err = run(capsys, ["verify", "--max-n", "3"])
-    assert code == 2
-    assert "COGRAPH_BEI_THREADS" in err
+    for command in ("verify", "table"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--max-n", "x"])
+        assert exc.value.code == 2
+        assert "argument --max-n: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_generate_maxreg(capsys):

@@ -52,6 +52,33 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def quadruple_scan(g: Graph):
+    """Reference witness search: every quadruple in lexicographic order."""
+    for quad in combinations(range(g.n), 4):
+        deg = [0, 0, 0, 0]
+        m = 0
+        for i, j in combinations(range(4), 2):
+            if g.has_edge(quad[i], quad[j]):
+                deg[i] += 1
+                deg[j] += 1
+                m += 1
+        if m != 3 or sorted(deg) != [1, 1, 2, 2]:
+            continue
+        start = min(i for i in range(4) if deg[i] == 1)
+        path = [start]
+        prev = -1
+        while len(path) < 4:
+            cur = path[-1]
+            nxt = next(
+                i
+                for i in range(4)
+                if i != prev and i != cur and g.has_edge(quad[cur], quad[i])
+            )
+            prev, path = cur, path + [nxt]
+        return P4Witness(*(quad[i] for i in path))
+    return None
+
+
 def test_build_cotree_examples():
     k2 = build_cotree(complete_graph(2))
     assert k2 == Join((Leaf(0), Leaf(1)))
@@ -101,8 +128,27 @@ def test_recognition_matches_p4_search_exhaustive_small():
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             g = Graph(n, (p for i, p in enumerate(pairs) if (mask >> i) & 1))
+            witness = find_induced_p4(g)
+            assert witness == quadruple_scan(g)
             got_tree = not isinstance(build_cotree(g), P4Witness)
-            assert got_tree == (find_induced_p4(g) is None)
+            assert got_tree == (witness is None)
+
+
+@given(graphs(max_n=10))
+def test_find_induced_p4_matches_quadruple_scan(g):
+    assert find_induced_p4(g) == quadruple_scan(g)
+
+
+def test_twin_star_witness_with_the_hub_labelled_last():
+    # leaves 0..159, hub 160, pendant path 160-161-162: every induced P4
+    # is leaf-hub-161-162, and the quadruple scan meets the first one
+    # only after C(162, 3) quadruples
+    m = 160
+    hub = m
+    g = Graph(m + 3, [(x, hub) for x in range(m)] + [(hub, m + 1), (m + 1, m + 2)])
+    expected = P4Witness(0, hub, m + 1, m + 2)
+    assert find_induced_p4(g) == expected
+    assert build_cotree(g) == expected
 
 
 def test_round_trip_on_all_small_cographs():

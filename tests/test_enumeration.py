@@ -107,19 +107,11 @@ def test_verify_theorems_nine_full_tallies():
     assert checks["order_bound_achieved"].failures == []
 
 
-def test_verify_theorems_parallel_matches_sequential():
-    seq = verify_theorems(6)
-    par = verify_theorems(6, workers=2)
-    assert seq.to_json_dict() == par.to_json_dict()
-
-
 def test_verify_theorems_guards():
     with pytest.raises(ValueError, match="limited"):
         verify_theorems(11)
     with pytest.raises(ValueError, match="limited"):
         verify_theorems(0)
-    with pytest.raises(ValueError, match="sequentially"):
-        verify_theorems(3, workers=2, reg_fn=lambda t: 0)
 
 
 def _broken_reg(t):

@@ -34,6 +34,17 @@ def test_graph_basic_validation():
     same = Graph(3, [(2, 1), (0, 1)])  # other order and orientation
     assert same == g and hash(same) == hash(g)
     assert Graph(4, g.edges()) != g
+    assert type(g.neighbors(0)) is frozenset and g.neighbors(0) == frozenset({1})
+    assert [g.degree(v) for v in range(3)] == [1, 2, 1]
+    assert g.has_edge(1, 2) and g.has_edge(2, 1) and not g.has_edge(0, 2)
+    assert not g.has_edge(0, 3) and not g.has_edge(0, -1)
+    with pytest.raises(ValueError, match="out of range"):
+        g.neighbors(3)
+    with pytest.raises(ValueError, match="out of range"):
+        g.degree(-1)
+    for h in (g, path_graph(5), cycle_graph(6), empty_graph(4), complete_graph(3), Graph(1)):
+        back = complement(complement(h))
+        assert back == h and hash(back) == hash(h)
     with pytest.raises(ValueError, match="loop"):
         Graph(2, [(0, 0)])
     with pytest.raises(ValueError, match="out of range"):

@@ -1,3 +1,6 @@
+from itertools import combinations
+
+import networkx as nx
 import pytest
 from hypothesis import given
 
@@ -22,7 +25,14 @@ from cograph_bei import (
     path_graph,
 )
 
-from strategies import cograph_classes, cographs
+from strategies import cograph_classes, cographs, graphs
+
+
+def _to_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
 
 
 def _dual(t):
@@ -105,6 +115,28 @@ def test_longest_induced_path_examples():
     assert oracle_longest_induced_path(complete_graph(6)) == 1
     with pytest.raises(ValueError, match="limited"):
         oracle_longest_induced_path(empty_graph(13))
+
+
+@given(graphs(max_n=10))
+def test_independent_sets_match_networkx_cliques_of_complement(g):
+    cliques = nx.find_cliques(nx.complement(_to_networkx(g)))
+    expected = sorted(map(frozenset, cliques), key=lambda s: (len(s), sorted(s)))
+    assert oracle_maximal_independent_sets(g) == expected
+
+
+@given(graphs(max_n=8))
+def test_longest_induced_path_matches_subset_brute_force(g):
+    # a vertex set induces a path iff it is connected with k - 1 edges
+    # and maximum degree at most 2
+    h = _to_networkx(g)
+    best = 0
+    for k in range(2, g.n + 1):
+        for vs in combinations(range(g.n), k):
+            sub = h.subgraph(vs)
+            if (sub.number_of_edges() == k - 1 and max(d for _, d in sub.degree) <= 2
+                    and nx.is_connected(sub)):
+                best = k - 1
+    assert oracle_longest_induced_path(g) == best
 
 
 @given(cographs())

@@ -4,8 +4,8 @@ Cographs are enumerated up to isomorphism directly from the cotree
 grammar: a tree is a leaf or an alternating union/join node with at
 least two children, and a sorted multiset of children is a canonical
 representative of its isomorphism class.  An independent oracle
-recounts the classes for small n by filtering every labeled graph for
-induced P4s and deduplicating with raw permutations.
+recounts the classes for small n: it grows the labeled P4-free graphs
+vertex by vertex and walks their orbits under adjacent transpositions.
 
 ``verify_theorems`` checks the regularity bounds, the extremal
 characterization and the invariant recursions on every enumerated
@@ -14,9 +14,7 @@ often.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
-
-import numpy as np
+from itertools import combinations
 
 from .graph import (
     complement,
@@ -125,75 +123,86 @@ def enumerate_cotrees(n: int):
 
 # ---------------------------------------------------------------------------
 # whole-graph-space oracle
+#
+# A labeled graph on n vertices is an edge code: bit i is set iff the
+# i-th pair of combinations(range(n), 2) is an edge.
 
 
 def p4_free_classes_by_exhaustion(n: int) -> tuple:
     """(isomorphism classes, labeled graphs) that are P4-free, by brute force.
 
-    Every labeled graph on n vertices is encoded as an edge bitmask and
-    tested for induced P4s with vectorized bit extraction; the
-    survivors are grouped into isomorphism classes by expanding whole
-    permutation orbits.  Independent of the cotree machinery.  Guarded
-    to ``n <= 7`` (2^21 graphs).
+    Labeled edge codes are grown one vertex at a time: a graph is P4-free
+    iff its first m vertices induce a P4-free graph and no 4-set holding
+    vertex m induces a P4.  A triple and m induce a P4 depending only on
+    the triple's edges and on which of its vertices m sees, so each
+    triple forbids a set of neighbourhoods N of m, kept as one bit per N.
+    Classes are counted by walking each orbit under the n - 1 adjacent
+    transpositions, which generate the symmetric group; every image must
+    again be a P4-free code.  Independent of the cotree machinery.
+    Guarded to ``n <= 7`` (2^21 graphs).
     """
     if not 1 <= n <= MAX_EXHAUSTION_VERTICES:
         raise ValueError(
             f"graph-space exhaustion is limited to 1 <= n <= {MAX_EXHAUSTION_VERTICES}, got {n}"
         )
-    pairs = list(combinations(range(n), 2))
-    m = len(pairs)
-    pair_idx = {p: i for i, p in enumerate(pairs)}
-    codes = np.arange(1 << m, dtype=np.uint32)
+    bit = {p: i for i, p in enumerate(combinations(range(n), 2))}
 
-    local_pairs = list(combinations(range(4), 2))
-    path_masks = set()
-    for perm in permutations(range(4)):
-        if perm[0] > perm[-1]:
-            continue
-        edges = {tuple(sorted((perm[i], perm[i + 1]))) for i in range(3)}
-        path_masks.add(sum(1 << b for b, p in enumerate(local_pairs) if p in edges))
-    lut = np.zeros(64, dtype=bool)
-    lut[sorted(path_masks)] = True
+    def is_p4(e, s):
+        # a triple with edge pattern e (pairs 01, 02, 12) and a new vertex
+        # seeing pattern s of it (vertices 0, 1, 2): 3 edges, degrees 1,1,2,2
+        edges = [p for b, p in enumerate(((0, 1), (0, 2), (1, 2))) if e >> b & 1]
+        edges += [(v, 3) for v in range(3) if s >> v & 1]
+        degrees = sorted(sum(v in p for p in edges) for v in range(4))
+        return len(edges) == 3 and degrees == [1, 1, 2, 2]
 
-    has_p4 = np.zeros(codes.shape, dtype=bool)
-    for quad in combinations(range(n), 4):
-        local = np.zeros(codes.shape, dtype=np.uint8)
-        for b, (i, j) in enumerate(local_pairs):
-            bit = pair_idx[(quad[i], quad[j])]
-            local |= (((codes >> np.uint32(bit)) & np.uint32(1)) << np.uint32(b)).astype(np.uint8)
-        has_p4 |= lut[local]
+    patterns = [sum(is_p4(e, s) << s for s in range(8)) for e in range(8)]
+    graphs = [0]
+    for m in range(1, n):
+        new_edges = [sum(1 << bit[v, m] for v in range(m) if N >> v & 1) for N in range(1 << m)]
+        triples = []
+        for t in combinations(range(m), 3):
+            sees = [sum((N >> v & 1) << i for i, v in enumerate(t)) for N in range(1 << m)]
+            forbid = [sum(1 << N for N, s in enumerate(sees) if row >> s & 1) for row in patterns]
+            triples.append((bit[t[0], t[1]], bit[t[0], t[2]], bit[t[1], t[2]], forbid))
+        grown = []
+        for code in graphs:
+            forbidden = 0
+            for xy, xz, yz, forbid in triples:
+                forbidden |= forbid[code >> xy & 1 | (code >> xz & 1) << 1 | (code >> yz & 1) << 2]
+            grown.extend(code | new_edges[N] for N in range(1 << m) if not forbidden >> N & 1)
+        graphs = grown
 
-    survivors = np.nonzero(~has_p4)[0]
-    labeled = int(survivors.size)
-
-    perms = list(permutations(range(n)))
-    permap = np.empty((len(perms), m), dtype=np.int64)
-    for pi, perm in enumerate(perms):
-        for b, (i, j) in enumerate(pairs):
-            permap[pi, b] = pair_idx[tuple(sorted((perm[i], perm[j])))]
-    bitvals = np.left_shift(np.uint32(1), np.arange(m, dtype=np.uint32))
-
-    seen = np.zeros(1 << m, dtype=bool)
+    # one table per transposition (i i+1) and code byte k: byte -> image bits
+    swaps = []
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        dest = [bit[tuple(sorted(swap.get(v, v) for v in p))] for p in bit]
+        swaps.append([
+            (k, [sum(1 << dest[k + b] for b in range(min(8, len(bit) - k)) if byte >> b & 1)
+                 for byte in range(256)])
+            for k in range(0, len(bit), 8)
+        ])
+    labeled = set(graphs)
+    unseen = set(graphs)
     classes = 0
-    orbit_total = 0
-    for code in survivors:
-        if seen[code]:
+    for code in graphs:
+        if code not in unseen:
             continue
         classes += 1
-        orbit = np.zeros(len(perms), dtype=np.uint32)
-        c = int(code)
-        b = 0
-        while c:
-            if c & 1:
-                orbit |= bitvals[permap[:, b]]
-            c >>= 1
-            b += 1
-        uniq = np.unique(orbit)
-        orbit_total += int(uniq.size)
-        seen[uniq] = True
-    if orbit_total != labeled:
-        raise RuntimeError("orbit decomposition does not partition the P4-free graphs")
-    return classes, labeled
+        unseen.remove(code)
+        stack = [code]
+        while stack:
+            c = stack.pop()
+            for tables in swaps:
+                image = 0
+                for k, table in tables:
+                    image |= table[c >> k & 255]
+                if image in unseen:
+                    unseen.remove(image)
+                    stack.append(image)
+                elif image not in labeled:
+                    raise RuntimeError("a relabeling of a P4-free graph is not P4-free")
+    return classes, len(graphs)
 
 
 # ---------------------------------------------------------------------------

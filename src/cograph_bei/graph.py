@@ -257,7 +257,7 @@ def _parse_edgelist(text: str) -> Graph:
             continue
         tokens = line.split()
         if n is None:
-            if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdigit():
+            if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdecimal():
                 raise GraphParseError(
                     f"line {lineno}: expected header 'n <count>', got {raw!r}"
                 )

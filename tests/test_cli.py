@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -72,6 +75,29 @@ def test_analyze_parse_error(capsys, monkeypatch):
     code, _, err = run(capsys, ["analyze"], stdin="oops\n", monkeypatch=monkeypatch)
     assert code == 2
     assert "header" in err
+
+
+def test_analyze_non_decimal_header_digit(capsys, monkeypatch):
+    # '\u00b2'.isdigit() holds but int() rejects it
+    code, out, err = run(capsys, ["analyze"], stdin="n \u00b2\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: expected header 'n <count>', got 'n \u00b2'\n"
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # the package has no runtime dependency, so importing the CLI in a
+    # fresh interpreter may load nothing outside the standard library
+    probe = (
+        "import sys; before = set(sys.modules); import cograph_bei.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names) - {'cograph_bei'}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_analyze_missing_file(capsys):

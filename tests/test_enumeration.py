@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 
 from cograph_bei import (
@@ -58,13 +60,44 @@ def test_enumeration_guards():
 
 
 def test_exhaustion_oracle_matches_enumeration():
-    labeled_expected = {1: 1, 2: 2, 3: 8, 4: 52, 5: 472, 6: 5504}
-    for n in range(1, 7):
+    labeled_expected = {1: 1, 2: 2, 3: 8, 4: 52, 5: 472, 6: 5504, 7: 78416}
+    for n in range(1, 8):
         classes, labeled = p4_free_classes_by_exhaustion(n)
         assert classes == CLASS_COUNTS[n]
         assert labeled == labeled_expected[n]
-    with pytest.raises(ValueError, match="limited"):
-        p4_free_classes_by_exhaustion(8)
+    for n in (0, 8):
+        with pytest.raises(ValueError, match="limited"):
+            p4_free_classes_by_exhaustion(n)
+
+
+def _induces_p4(quad, edges):
+    inside = [p for p in combinations(quad, 2) if p in edges]
+    degrees = sorted(sum(v in p for p in inside) for v in quad)
+    return len(inside) == 3 and degrees == [1, 1, 2, 2]
+
+
+def _p4_free_classes_literally(n):
+    # every edge code, every 4-subset, and each class as its minimum code
+    # over all n! relabelings
+    pairs = list(combinations(range(n), 2))
+    labeled = []
+    for code in range(1 << len(pairs)):
+        edges = {p for i, p in enumerate(pairs) if code >> i & 1}
+        if not any(_induces_p4(quad, edges) for quad in combinations(range(n), 4)):
+            labeled.append(edges)
+    classes = {
+        min(
+            sum(1 << pairs.index(tuple(sorted((perm[u], perm[v])))) for u, v in edges)
+            for perm in permutations(range(n))
+        )
+        for edges in labeled
+    }
+    return len(classes), len(labeled)
+
+
+def test_exhaustion_oracle_matches_a_literal_filter():
+    for n in range(1, 6):
+        assert p4_free_classes_by_exhaustion(n) == _p4_free_classes_literally(n)
 
 
 def test_verify_theorems_small():

@@ -131,7 +131,12 @@ def _cmd_analyze(args) -> int:
     else:
         payload["cotree"] = cotree_to_json_dict(result)
         report = RegularityReport.from_cotree(g, result)
-        payload["invariants"] = InvariantReport.from_cotree(g, result).to_json_dict()
+        payload["invariants"] = InvariantReport(
+            alpha=report.bound_alpha,
+            num_max_indep=report.bound_i,
+            num_max_cliques=report.bound_c,
+            max_degree=max_degree(g),
+        ).to_json_dict()
         payload["regularity"] = report.to_json_dict()
         lines.append(f"cograph: yes, reg(S/J_G) = {report.reg}")
         lines.append(

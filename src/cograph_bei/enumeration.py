@@ -33,11 +33,7 @@ from .invariants import (
     oracle_longest_induced_path,
     oracle_maximal_independent_sets,
 )
-from .regularity import (
-    has_universal_vertex,
-    is_extremal_characterized,
-    order_bound,
-)
+from .regularity import _extremal_key, has_universal_vertex, order_bound
 
 __all__ = [
     "BoundTable",
@@ -259,10 +255,23 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _check_graph(n: int, t: Cotree, reg_fn) -> tuple:
-    """Outcome of every per-graph check; None marks a non-applicable check."""
+def _classes(n_max: int, task: str):
+    """(n, cotree, summary) for every class with n <= n_max; guarded on the call.
+
+    Classes come from the module global ``enumerate_cotrees``.
+    """
+    if not 1 <= n_max <= MAX_VERIFY_VERTICES:
+        raise ValueError(
+            f"{task} is limited to 1 <= n_max <= {MAX_VERIFY_VERTICES}, got {n_max}"
+        )
+    return ((n, t, summarize_cotree(t)) for n in range(1, n_max + 1) for t in enumerate_cotrees(n))
+
+
+def _check_graph(n: int, t: Cotree, summary, extremal_key, reg_fn) -> tuple:
+    """Outcome of every per-graph check; None marks a non-applicable check.
+
+    ``extremal_key`` is ``max_reg_cograph(n)``'s canonical key, None when a = 2."""
     g = cotree_to_graph(t)
-    summary = summarize_cotree(t)
     reg = summary.reg if reg_fn is None else reg_fn(t)
     connected = not isinstance(t, Union)
     k, a, bound = order_bound(n, connected)
@@ -271,8 +280,8 @@ def _check_graph(n: int, t: Cotree, reg_fn) -> tuple:
     res.pop("order_bound_achieved")  # aggregate, handled by the caller
 
     res["order_bound"] = reg <= bound
-    if a != 2:
-        res["extremal_characterization"] = (reg == 2 * k - a) == is_extremal_characterized(t)
+    if extremal_key is not None:
+        res["extremal_characterization"] = (reg == 2 * k - a) == (summary.key == extremal_key)
     if connected and k > 1 and a in (0, 2):
         target = 2 * k - 1 if a == 0 else 2 * k - 2
         res["connected_max_is_cone"] = reg != target or has_universal_vertex(g)
@@ -282,17 +291,18 @@ def _check_graph(n: int, t: Cotree, reg_fn) -> tuple:
         res["maxdeg_bound"] = reg <= max_degree(g)
     ell = oracle_longest_induced_path(g)
     res["induced_path_bounds"] = ell <= reg <= n - 1
+    co_g = complement(g)
     if n >= 2:
-        res["complement_connectivity"] = is_connected(g) != is_connected(complement(g))
+        res["complement_connectivity"] = is_connected(g) != is_connected(co_g)
     if n <= 8:
         indep_sets = oracle_maximal_independent_sets(g)
-        clique_sets = oracle_maximal_independent_sets(complement(g))
+        clique_sets = oracle_maximal_independent_sets(co_g)
         res["invariant_recursions"] = (
             summary.alpha == max(len(s) for s in indep_sets)
             and summary.num_max_indep == len(indep_sets)
             and summary.num_max_cliques == len(clique_sets)
         )
-    return res, reg, connected, summary.key
+    return res, reg, connected
 
 
 def verify_theorems(n_max: int, reg_fn=None) -> VerificationReport:
@@ -310,26 +320,23 @@ def verify_theorems(n_max: int, reg_fn=None) -> VerificationReport:
     ``reg_fn`` substitutes the regularity recursion, which lets tests
     confirm the checks would catch a wrong rule.
     """
-    if not 1 <= n_max <= MAX_VERIFY_VERTICES:
-        raise ValueError(
-            f"verification is limited to 1 <= n_max <= {MAX_VERIFY_VERTICES}, got {n_max}"
-        )
+    classes = _classes(n_max, "verification")
+    extremal = {n: _extremal_key(n) for n in range(2, n_max + 1) if order_bound(n, False)[1] < 2}
     counts = dict.fromkeys(CHECK_NAMES, 0)
     failures = {name: [] for name in CHECK_NAMES}
     max_reg_all = {}
     max_reg_disc = {}
-    for n in range(1, n_max + 1):
-        for t in enumerate_cotrees(n):
-            res, reg, connected, key = _check_graph(n, t, reg_fn)
-            for name, ok in res.items():
-                if ok is None:
-                    continue
-                counts[name] += 1
-                if not ok:
-                    failures[name].append(key.decode("ascii"))
-            max_reg_all[n] = max(max_reg_all.get(n, 0), reg)
-            if not connected:
-                max_reg_disc[n] = max(max_reg_disc.get(n, 0), reg)
+    for n, t, summary in classes:
+        res, reg, connected = _check_graph(n, t, summary, extremal.get(n), reg_fn)
+        for name, ok in res.items():
+            if ok is None:
+                continue
+            counts[name] += 1
+            if not ok:
+                failures[name].append(summary.key.decode("ascii"))
+        max_reg_all[n] = max(max_reg_all.get(n, 0), reg)
+        if not connected:
+            max_reg_disc[n] = max(max_reg_disc.get(n, 0), reg)
 
     # Achievability of the cap 2k - a.  For n in {2, 3} the only
     # maximizers (one edge, the 2-edge path) are connected, so the
@@ -404,37 +411,32 @@ def bound_comparison_table(n_max: int, refined_order_bound: bool = True) -> Boun
     ``refined_order_bound=False`` scores every graph against the plain
     2k - a cap instead of using the sharper value for connected graphs.
     """
-    if not 1 <= n_max <= MAX_VERIFY_VERTICES:
-        raise ValueError(
-            f"table generation is limited to 1 <= n_max <= {MAX_VERIFY_VERTICES}, got {n_max}"
-        )
+    classes = _classes(n_max, "table generation")
     size = len(BOUND_NAMES)
     matrix = [[0] * size for _ in range(size)]
     strict_best = dict.fromkeys(BOUND_NAMES, 0)
     total = connected_total = 0
-    for n in range(1, n_max + 1):
-        for t in enumerate_cotrees(n):
-            summary = summarize_cotree(t)
-            connected = not isinstance(t, Union)
-            total += 1
-            connected_total += connected
-            vals = {
-                "order_bound": order_bound(n, connected and refined_order_bound)[2],
-                "num_max_cliques": summary.num_max_cliques,
-                "num_max_indep": summary.num_max_indep,
-                "alpha": summary.alpha,
-                "max_degree": max_degree(cotree_to_graph(t)) if connected else None,
-            }
-            for r, rn in enumerate(BOUND_NAMES):
-                if vals[rn] is None:
-                    continue
-                for c, cn in enumerate(BOUND_NAMES):
-                    if r != c and vals[cn] is not None and vals[rn] < vals[cn]:
-                        matrix[r][c] += 1
-            present = [b for b in BOUND_NAMES if vals[b] is not None]
-            for b in present:
-                if all(vals[b] < vals[o] for o in present if o != b):
-                    strict_best[b] += 1
+    for n, t, summary in classes:
+        connected = not isinstance(t, Union)
+        total += 1
+        connected_total += connected
+        vals = {
+            "order_bound": order_bound(n, connected and refined_order_bound)[2],
+            "num_max_cliques": summary.num_max_cliques,
+            "num_max_indep": summary.num_max_indep,
+            "alpha": summary.alpha,
+            "max_degree": max_degree(cotree_to_graph(t)) if connected else None,
+        }
+        for r, rn in enumerate(BOUND_NAMES):
+            if vals[rn] is None:
+                continue
+            for c, cn in enumerate(BOUND_NAMES):
+                if r != c and vals[cn] is not None and vals[rn] < vals[cn]:
+                    matrix[r][c] += 1
+        present = [b for b in BOUND_NAMES if vals[b] is not None]
+        for b in present:
+            if all(vals[b] < vals[o] for o in present if o != b):
+                strict_best[b] += 1
     return BoundTable(
         n_max=n_max,
         bound_names=BOUND_NAMES,

@@ -5,6 +5,9 @@ paths padded with single edges attains the regularity cap 2k - a.
 Coning (joining one extra vertex) turns the disconnected maximizers
 into connected cographs without changing the regularity once it is at
 least 2, which realizes every positive value on a connected cograph.
+``max_reg_cograph`` is the one definition of the family:
+``connected_with_reg`` cones it, and the characterization in
+``regularity`` compares canonical keys with its cotree.
 """
 
 from .graph import Graph, complete_graph, disjoint_union, join, path_graph
@@ -36,16 +39,12 @@ def cone(g: Graph) -> Graph:
 def connected_with_reg(r: int) -> Graph:
     """A connected cograph whose regularity is exactly r >= 1.
 
-    r = 1 is a single edge; even r cones r/2 disjoint 2-edge paths;
-    odd r >= 3 cones (r-1)/2 of them plus one single edge.
+    r = 1 is a single edge; any other r cones the maximizer on
+    (3r + 1) // 2 vertices: r/2 disjoint 2-edge paths for even r, and
+    (r - 1)/2 of them plus one single edge for odd r.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r == 1:
         return complete_graph(2)
-    p3, p2 = path_graph(3), path_graph(2)
-    if r % 2 == 0:
-        parts = [p3] * (r // 2)
-    else:
-        parts = [p3] * ((r - 1) // 2) + [p2]
-    return cone(disjoint_union(*parts))
+    return cone(max_reg_cograph((3 * r + 1) // 2))

@@ -267,8 +267,13 @@ def _parse_edgelist(text: str) -> Graph:
             continue
         if len(tokens) != 2:
             raise GraphParseError(f"line {lineno}: expected 'u v', got {raw!r}")
+        a, b = tokens
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            # int() alone would also take a sign or underscores; it still
+            # refuses a decimal string longer than its digit limit
+            if not (a.isdecimal() and b.isdecimal()):
+                raise ValueError
+            u, v = int(a), int(b)
         except ValueError:
             raise GraphParseError(f"line {lineno}: non-integer endpoint in {raw!r}")
         if not (1 <= u <= n and 1 <= v <= n):

@@ -10,7 +10,7 @@ on small graphs.
 
 from dataclasses import dataclass
 
-from .graph import Graph, _bits, complement, max_degree
+from .graph import Graph, _bits, complement
 from .cotree import Cotree, summarize_cotree
 
 __all__ = [
@@ -47,16 +47,6 @@ class InvariantReport:
     num_max_indep: int
     num_max_cliques: int
     max_degree: int
-
-    @classmethod
-    def from_cotree(cls, g: Graph, t: Cotree) -> "InvariantReport":
-        s = summarize_cotree(t)
-        return cls(
-            alpha=s.alpha,
-            num_max_indep=s.num_max_indep,
-            num_max_cliques=s.num_max_cliques,
-            max_degree=max_degree(g),
-        )
 
     def to_json_dict(self) -> dict:
         # counts can exceed any fixed-width integer, so everything is a string

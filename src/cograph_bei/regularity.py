@@ -17,16 +17,8 @@ when a in {0, 1}.
 from dataclasses import dataclass
 
 from .graph import Graph, max_degree
-from .cotree import (
-    Cotree,
-    Join,
-    Leaf,
-    P4Witness,
-    Union,
-    build_cotree,
-    canonical_key,
-    summarize_cotree,
-)
+from .cotree import Cotree, P4Witness, Union, build_cotree, summarize_cotree
+from .extremal import max_reg_cograph
 
 __all__ = [
     "NotACographError",
@@ -74,8 +66,9 @@ def has_universal_vertex(g: Graph) -> bool:
     return any(m.bit_count() == g.n - 1 for m in g._adj)
 
 
-_P2_KEY = canonical_key(Join((Leaf(0), Leaf(1))))
-_P3_KEY = canonical_key(Join((Leaf(0), Union((Leaf(1), Leaf(2))))))
+def _extremal_key(n: int) -> bytes:
+    """Canonical key of ``max_reg_cograph(n)``, for n = 3k - a with a in {0, 1}."""
+    return summarize_cotree(build_cotree(max_reg_cograph(n))).key
 
 
 def is_extremal_characterized(t: Cotree) -> bool:
@@ -83,17 +76,17 @@ def is_extremal_characterized(t: Cotree) -> bool:
 
     Defined for n = 3k - a with a in {0, 1}: these unions, with exactly
     one single-edge component when a = 1 and none when a = 0, are the
-    graphs of maximal regularity 2k - a.  For a = 2 the maximizers have
-    no such description and a ValueError is raised.
+    graphs of maximal regularity 2k - a.  t is compared with
+    ``max_reg_cograph(n)``, the family's one definition, by canonical
+    key.  For a = 2 the maximizers have no such description and a
+    ValueError is raised.
     """
-    components = t.children if isinstance(t, Union) else (t,)
-    parts = [summarize_cotree(comp) for comp in components]
-    n = sum(p.size for p in parts)
+    s = summarize_cotree(t)
+    n = s.size
     _, a, _ = order_bound(n, connected=False)
     if a == 2:
         raise ValueError(f"extremal characterization applies to a in {{0, 1}}, got a=2 (n={n})")
-    keys = [p.key for p in parts]
-    return all(key in (_P2_KEY, _P3_KEY) for key in keys) and keys.count(_P2_KEY) == a
+    return s.key == _extremal_key(n)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,18 @@ def test_analyze_p4_reports_witness(capsys, monkeypatch, tmp_path):
     assert payload["invariants"]["num_max_cliques"] == "3"
 
 
+def test_analyze_disconnected_cograph_invariants(capsys, monkeypatch):
+    # a 2-edge path plus a single edge: alpha 2 + 1, i(G) 2 * 2, c(G) 2 + 1
+    code, out, _ = run(capsys, ["analyze"], stdin="n 5\n1 2\n2 3\n4 5\n",
+                       monkeypatch=monkeypatch)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["invariants"] == {
+        "alpha": "3", "num_max_indep": "4", "num_max_cliques": "3", "max_degree": "2",
+    }
+    assert "bound_maxdeg" not in payload["regularity"]
+
+
 def test_analyze_k1(capsys, monkeypatch):
     code, out, _ = run(capsys, ["analyze"], stdin="n 1\n", monkeypatch=monkeypatch)
     assert code == 0

@@ -237,3 +237,28 @@ def test_report_and_table_serialization():
     d = table.to_json_dict()
     assert len(d["matrix"]) == 5
     assert "strictly best" in table.to_text()
+
+
+def test_class_walk_calls_the_module_global_enumerator(monkeypatch):
+    # the benchmark's traced run counts classes per n by wrapping this
+    # global, and reads these two names, with no fallback
+    import cograph_bei.enumeration as enumeration
+    from cograph_bei import invariants, regularity
+
+    counts = {}
+    original = enumeration.enumerate_cotrees
+
+    def counting(n):
+        for t in original(n):
+            counts[n] = counts.get(n, 0) + 1
+            yield t
+
+    monkeypatch.setattr(enumeration, "enumerate_cotrees", counting)
+    expected = {n: CLASS_COUNTS[n] for n in range(1, 7)}
+    verify_theorems(6)
+    assert counts == expected
+    counts.clear()
+    bound_comparison_table(6)
+    assert counts == expected
+    assert callable(regularity.reg_cograph)
+    assert isinstance(invariants.InvariantReport, type)

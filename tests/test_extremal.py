@@ -63,3 +63,12 @@ def test_connected_with_reg_hits_every_value():
         assert not isinstance(t, P4Witness)
         assert is_connected(g)
         assert reg_cograph(t) == r
+
+
+def test_connected_with_reg_matches_the_explicit_parts():
+    # cones over r/2 two-edge paths (even r) or (r-1)/2 of them plus an edge
+    p3, p2 = path_graph(3), path_graph(2)
+    assert connected_with_reg(1) == complete_graph(2)
+    for r in range(2, 301):
+        parts = [p3] * (r // 2) + [p2] * (r % 2)
+        assert connected_with_reg(r) == cone(disjoint_union(*parts))

@@ -74,6 +74,8 @@ def test_parse_edgelist_examples():
         ("n 3\n1 4", "out of range"),
         ("n 3\n2 2", "loop"),
         ("n 3\na b", "non-integer"),
+        ("n 3\n1 +2", "line 2: non-integer endpoint in '1 \\+2'"),
+        ("n 3\n1 0_2", "line 2: non-integer endpoint in '1 0_2'"),
     ],
 )
 def test_parse_edgelist_errors(text, pattern):

@@ -2,12 +2,17 @@ import pytest
 from hypothesis import given
 
 from cograph_bei import (
+    Join,
+    Leaf,
     NotACographError,
     P4Witness,
+    Union,
     bounds_report,
     build_cotree,
+    canonical_key,
     complete_graph,
     cone,
+    cotree_size,
     cotree_to_graph,
     cycle_graph,
     disjoint_union,
@@ -166,6 +171,31 @@ def test_extremal_characterization_matches_tightness():
             continue
         for t in cograph_classes(n):
             assert (reg_cograph(t) == cap) == is_extremal_characterized(t)
+
+
+# The family written out as a structural rule: every component is a
+# single edge or a 2-edge path, with exactly a single edges.
+P2_KEY = canonical_key(Join((Leaf(0), Leaf(1))))
+P3_KEY = canonical_key(Join((Leaf(0), Union((Leaf(1), Leaf(2))))))
+
+
+def structural_rule(t):
+    components = t.children if isinstance(t, Union) else (t,)
+    keys = [canonical_key(c) for c in components]
+    a = order_bound(cotree_size(t), False)[1]
+    return all(key in (P2_KEY, P3_KEY) for key in keys) and keys.count(P2_KEY) == a
+
+
+def test_extremal_characterization_matches_the_structural_rule():
+    matches = 0
+    for n in range(1, 10):
+        if order_bound(n, False)[1] == 2:
+            continue
+        for t in cograph_classes(n):
+            expected = structural_rule(t)
+            assert is_extremal_characterized(t) == expected
+            matches += expected
+    assert matches == 6  # one class for each n in 2, 3, 5, 6, 8, 9
 
 
 def test_has_universal_vertex_examples():

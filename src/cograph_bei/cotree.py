@@ -212,23 +212,28 @@ class CotreeSummary:
     key: bytes
 
 
-def _summary_node(x, parts) -> tuple:
+_LEAF_SUMMARY = (1, 0, 1, 1, 1, 0, b"L")
+
+
+def _summary_rule(union: bool, parts) -> tuple:
+    """A union's (``union`` true) or join's summary tuple, from its children's."""
     sizes, regs, alphas, indeps, cliques, ells, keys = zip(*parts)
     key = b",".join(sorted(keys))
-    if isinstance(x, Union):
+    if union:
         return (sum(sizes), sum(regs), sum(alphas), prod(indeps), sum(cliques), max(ells),
                 b"U(" + key + b")")
     # A join of leaves only is a complete graph; any other join has a
     # union child, whose two non-adjacent vertices and a vertex of
     # another child induce a 2-edge path.
-    complete = all(isinstance(c, Leaf) for c in x.children)
+    complete = max(sizes) == 1
     return (sum(sizes), 1 if complete else max(2, *regs), max(alphas), sum(indeps),
             prod(cliques), 1 if complete else 2, b"J(" + key + b")")
 
 
 def summarize_cotree(t: Cotree) -> CotreeSummary:
     """Size, regularity, invariants, ell and canonical key of t in one pass."""
-    return CotreeSummary(*_fold(t, lambda x: (1, 0, 1, 1, 1, 0, b"L"), _summary_node))
+    return CotreeSummary(*_fold(t, lambda x: _LEAF_SUMMARY,
+                                lambda x, parts: _summary_rule(isinstance(x, Union), parts)))
 
 
 def cotree_leaves(t: Cotree) -> list:

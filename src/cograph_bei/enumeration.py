@@ -16,23 +16,9 @@ often.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import (
-    complement,
-    is_connected,
-    max_degree,
-)
-from .cotree import (
-    Cotree,
-    Join,
-    Leaf,
-    Union,
-    cotree_to_graph,
-    summarize_cotree,
-)
-from .invariants import (
-    oracle_longest_induced_path,
-    oracle_maximal_independent_sets,
-)
+from .graph import Graph, _bits, complement, is_connected, max_degree
+from .cotree import _LEAF_SUMMARY, Cotree, CotreeSummary, Join, Leaf, Union, _summary_rule
+from .invariants import oracle_longest_induced_path, oracle_maximal_independent_sets
 from .regularity import _extremal_key, has_universal_vertex, order_bound
 
 __all__ = [
@@ -90,14 +76,20 @@ def _rooted_shapes(n: int, kind: str) -> tuple:
     return shapes
 
 
+_LEAVES = tuple(map(Leaf, range(MAX_ENUM_VERTICES)))  # frozen, so cotrees share them
+
+
 def _shape_to_cotree(shape, counter) -> Cotree:
-    if shape == _LEAF_SHAPE:
-        v = counter[0]
+    if shape is _LEAF_SHAPE:
         counter[0] += 1
-        return Leaf(v)
+        return _LEAVES[counter[0] - 1]
     kind, children = shape
-    node = Union if kind == "U" else Join
-    return node(tuple(_shape_to_cotree(c, counter) for c in children))
+    return (Union if kind == "U" else Join)(tuple(_shape_to_cotree(c, counter) for c in children))
+
+
+def _class_shapes(n: int) -> tuple:
+    """The shape of every class on n vertices, in enumeration order."""
+    return (_LEAF_SHAPE,) if n == 1 else _rooted_shapes(n, "U") + _rooted_shapes(n, "J")
 
 
 def enumerate_cotrees(n: int):
@@ -109,12 +101,32 @@ def enumerate_cotrees(n: int):
     """
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"enumeration is limited to 1 <= n <= {MAX_ENUM_VERTICES}, got {n}")
-    if n == 1:
-        shapes = (_LEAF_SHAPE,)
-    else:
-        shapes = _rooted_shapes(n, "U") + _rooted_shapes(n, "J")
-    for shape in shapes:
+    for shape in _class_shapes(n):
         yield _shape_to_cotree(shape, [0])
+
+
+_SHAPE_DATA = {_LEAF_SHAPE: (_LEAF_SUMMARY, (0,))}
+
+
+def _shape_data(shape) -> tuple:
+    """(summary tuple, adjacency masks) of a shape, leaves labeled in depth-first
+    order as ``enumerate_cotrees`` labels them; kept below MAX_VERIFY_VERTICES."""
+    data = _SHAPE_DATA.get(shape)
+    if data is None:
+        kind, children = shape
+        parts = [_shape_data(c) for c in children]
+        summary = _summary_rule(kind == "U", [p[0] for p in parts])
+        full = (1 << summary[0]) - 1 if kind == "J" else 0
+        masks = []
+        for _, child in parts:
+            # a union shifts each child's masks; a join also sees the other children
+            offset = len(masks)
+            others = full & ~((1 << len(child)) - 1 << offset)
+            masks.extend(m << offset | others for m in child)
+        data = (summary, tuple(masks))
+        if summary[0] < MAX_VERIFY_VERTICES:
+            _SHAPE_DATA[shape] = data
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +268,31 @@ class VerificationReport:
 
 
 def _classes(n_max: int, task: str):
-    """(n, cotree, summary) for every class with n <= n_max; guarded on the call.
+    """(n, cotree, summary, masks) for every class with n <= n_max; guarded on the call.
 
-    Classes come from the module global ``enumerate_cotrees``.
+    Cotrees come from the module global ``enumerate_cotrees``, the rest from their shapes.
     """
     if not 1 <= n_max <= MAX_VERIFY_VERTICES:
         raise ValueError(
             f"{task} is limited to 1 <= n_max <= {MAX_VERIFY_VERTICES}, got {n_max}"
         )
-    return ((n, t, summarize_cotree(t)) for n in range(1, n_max + 1) for t in enumerate_cotrees(n))
+    return (
+        (n, t, CotreeSummary(*data[0]), data[1]) for n in range(1, n_max + 1)
+        for t, data in zip(enumerate_cotrees(n), map(_shape_data, _class_shapes(n)), strict=True)
+    )
 
 
-def _check_graph(n: int, t: Cotree, summary, extremal_key, reg_fn) -> tuple:
+def _graph(masks) -> Graph:
+    """The graph whose vertex v has adjacency mask ``masks[v]``."""
+    edges = ((u, v) for u, m in enumerate(masks) for v in _bits(m >> u + 1 << u + 1))
+    return Graph(len(masks), edges)
+
+
+def _check_graph(n: int, t: Cotree, summary, masks, extremal_key, reg_fn) -> tuple:
     """Outcome of every per-graph check; None marks a non-applicable check.
 
     ``extremal_key`` is ``max_reg_cograph(n)``'s canonical key, None when a = 2."""
-    g = cotree_to_graph(t)
+    g = _graph(masks)
     reg = summary.reg if reg_fn is None else reg_fn(t)
     connected = not isinstance(t, Union)
     k, a, bound = order_bound(n, connected)
@@ -326,8 +347,8 @@ def verify_theorems(n_max: int, reg_fn=None) -> VerificationReport:
     failures = {name: [] for name in CHECK_NAMES}
     max_reg_all = {}
     max_reg_disc = {}
-    for n, t, summary in classes:
-        res, reg, connected = _check_graph(n, t, summary, extremal.get(n), reg_fn)
+    for n, t, summary, masks in classes:
+        res, reg, connected = _check_graph(n, t, summary, masks, extremal.get(n), reg_fn)
         for name, ok in res.items():
             if ok is None:
                 continue
@@ -416,7 +437,7 @@ def bound_comparison_table(n_max: int, refined_order_bound: bool = True) -> Boun
     matrix = [[0] * size for _ in range(size)]
     strict_best = dict.fromkeys(BOUND_NAMES, 0)
     total = connected_total = 0
-    for n, t, summary in classes:
+    for n, t, summary, masks in classes:
         connected = not isinstance(t, Union)
         total += 1
         connected_total += connected
@@ -425,7 +446,7 @@ def bound_comparison_table(n_max: int, refined_order_bound: bool = True) -> Boun
             "num_max_cliques": summary.num_max_cliques,
             "num_max_indep": summary.num_max_indep,
             "alpha": summary.alpha,
-            "max_degree": max_degree(cotree_to_graph(t)) if connected else None,
+            "max_degree": max_degree(_graph(masks)) if connected else None,
         }
         for r, rn in enumerate(BOUND_NAMES):
             if vals[rn] is None:

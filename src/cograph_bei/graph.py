@@ -6,6 +6,7 @@ convention in the combinatorics literature; parsers and serializers
 translate between the two.
 """
 
+import sys
 from itertools import combinations
 
 __all__ = [
@@ -261,7 +262,12 @@ def _parse_edgelist(text: str) -> Graph:
                 raise GraphParseError(
                     f"line {lineno}: expected header 'n <count>', got {raw!r}"
                 )
-            n = int(tokens[1])
+            try:
+                n = int(tokens[1])
+            except ValueError:  # more digits than int() converts
+                n = sys.maxsize + 1
+            if n > sys.maxsize:
+                raise GraphParseError(f"line {lineno}: vertex count exceeds {sys.maxsize}")
             if n < 1:
                 raise GraphParseError(f"line {lineno}: vertex count must be positive")
             continue

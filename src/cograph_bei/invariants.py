@@ -98,8 +98,9 @@ def oracle_longest_induced_path(g: Graph) -> int:
 
     Extends partial induced paths vertex by vertex: the next vertex must
     be adjacent to the current endpoint and non-adjacent to every
-    earlier path vertex.  Returns 0 for edgeless graphs.  Guarded to
-    ``n <= 12``.
+    earlier path vertex.  A path is dropped when it cannot beat the best
+    length found: every vertex after the next one must also avoid
+    N(last).  Returns 0 for edgeless graphs.  Guarded to ``n <= 12``.
     """
     if g.n > MAX_ORACLE_PATH_VERTICES:
         raise ValueError(
@@ -107,14 +108,21 @@ def oracle_longest_induced_path(g: Graph) -> int:
         )
     adj = g._adj
     best = 0
-
-    def extend(last, length, in_path, forbidden):
-        # forbidden: every neighbour of a path vertex before ``last``
-        nonlocal best
-        best = max(best, length)
-        for w in _bits(adj[last] & ~(in_path | forbidden)):
-            extend(w, length + 1, in_path | 1 << w, forbidden | adj[last])
-
-    for start in range(g.n):
-        extend(start, 0, 1 << start, 0)
+    # (N(last), length, vertices off the path unseen by those before last);
+    # only a path that can grow is pushed
+    stack = [(adj[v], 0, ((1 << g.n) - 1) ^ 1 << v) for v in range(g.n) if adj[v]]
+    while stack:
+        near, length, avail = stack.pop()
+        nxt = near & avail
+        if length >= best:
+            best = length + 1
+        rest = avail & ~near  # what may follow the next vertex
+        if length + 1 + rest.bit_count() <= best:
+            continue
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            w_near = adj[low.bit_length() - 1]
+            if w_near & rest:
+                stack.append((w_near, length + 1, rest))
     return best

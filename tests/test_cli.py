@@ -97,6 +97,17 @@ def test_analyze_non_decimal_header_digit(capsys, monkeypatch):
     assert err == "error: line 1: expected header 'n <count>', got 'n \u00b2'\n"
 
 
+@pytest.mark.parametrize("digits", [4000, 5000])
+def test_analyze_header_count_past_any_index(capsys, monkeypatch, digits):
+    # a count past any index is a parse error whose message echoes none
+    # of the digits
+    code, out, err = run(capsys, ["analyze"], stdin="n " + "9" * digits + "\n1 2\n",
+                         monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 1: vertex count exceeds {sys.maxsize}\n"
+
+
 def test_cli_import_loads_only_the_standard_library():
     # the package has no runtime dependency, so importing the CLI in a
     # fresh interpreter may load nothing outside the standard library

@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 import pytest
 
 from cograph_bei import (
+    Graph,
     Leaf,
     P4Witness,
     Union,
@@ -14,6 +15,8 @@ from cograph_bei import (
     p4_free_classes_by_exhaustion,
     verify_theorems,
 )
+from cograph_bei import enumeration
+from cograph_bei.cotree import summarize_cotree
 from cograph_bei.enumeration import BOUND_NAMES, CHECK_NAMES
 
 # regression freeze of the class counts produced by the generator; the
@@ -57,6 +60,24 @@ def test_enumeration_guards():
         list(enumerate_cotrees(0))
     with pytest.raises(ValueError, match="limited"):
         list(enumerate_cotrees(13))
+
+
+def test_shape_data_matches_the_cotree():
+    # the class walk reads each class's summary and adjacency masks from
+    # its shape; they must be those of the cotree enumerate_cotrees yields
+    classes = 0
+    for n, t, summary, masks in enumeration._classes(9, "the walk"):
+        g = cotree_to_graph(t)
+        assert Graph(n, [(u, v) for u, m in enumerate(masks) for v in range(n) if m >> v & 1]) == g
+        assert enumeration._graph(masks) == g
+        assert summary == summarize_cotree(t)
+        classes += 1
+    assert classes == sum(CLASS_COUNTS[n] for n in range(1, 10))
+    # only the shapes below the verification cap are kept: every n <= 9 class
+    assert len(enumeration._SHAPE_DATA) == classes
+    # the guard runs on the call, before any class is drawn
+    with pytest.raises(ValueError, match="limited"):
+        enumeration._classes(11, "the walk")
 
 
 def test_exhaustion_oracle_matches_enumeration():

@@ -1,3 +1,5 @@
+import sys
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -81,6 +83,17 @@ def test_parse_edgelist_examples():
 def test_parse_edgelist_errors(text, pattern):
     with pytest.raises(GraphParseError, match=pattern):
         parse_graph(text, "edgelist")
+
+
+@pytest.mark.parametrize(
+    "count", ["9" * 4000, "9" * 5000, str(sys.maxsize + 1)],
+    ids=["4000-digits", "5000-digits", "maxsize-plus-one"],
+)
+def test_parse_edgelist_count_past_any_index(count):
+    # 4000 digits overflow an index; 5000 are more than int() converts
+    with pytest.raises(GraphParseError) as info:
+        parse_graph(f"n {count}\n1 2\n", "edgelist")
+    assert str(info.value) == f"line 1: vertex count exceeds {sys.maxsize}"
 
 
 def test_parse_graph6_k3():

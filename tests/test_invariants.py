@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from cograph_bei import (
+    Graph,
     InvariantReport,
     Join,
     Leaf,
@@ -106,6 +107,48 @@ def test_union_and_join_recurrences(g, h):
     assert count_max_indep_cotree(tj) == count_max_indep_cotree(tg) + count_max_indep_cotree(th)
     assert alpha_cotree(tu) == alpha_cotree(tg) + alpha_cotree(th)
     assert alpha_cotree(tj) == max(alpha_cotree(tg), alpha_cotree(th))
+
+
+def _recursive_longest_induced_path(g):
+    # the recursive DFS the oracle replaced, with no bound
+    adj = g._adj
+    best = 0
+
+    def extend(last, length, in_path, forbidden):
+        nonlocal best
+        best = max(best, length)
+        for w in range(g.n):
+            if adj[last] >> w & 1 and not (in_path | forbidden) >> w & 1:
+                extend(w, length + 1, in_path | 1 << w, forbidden | adj[last])
+
+    for start in range(g.n):
+        extend(start, 0, 1 << start, 0)
+    return best
+
+
+@given(graphs(max_n=10))
+def test_longest_induced_path_matches_the_recursive_search(g):
+    assert oracle_longest_induced_path(g) == _recursive_longest_induced_path(g)
+
+
+def test_longest_induced_path_on_every_small_labelled_graph():
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            g = Graph(n, (p for i, p in enumerate(pairs) if code >> i & 1))
+            assert oracle_longest_induced_path(g) == _recursive_longest_induced_path(g)
+
+
+def test_longest_induced_path_on_paths_cycles_and_complements():
+    # long paths are where the bound prunes deepest
+    for n in range(1, 13):
+        bases = [(path_graph(n), n - 1)]
+        if n >= 3:
+            bases.append((cycle_graph(n), 1 if n == 3 else n - 2))
+        for g, ell in bases:
+            assert oracle_longest_induced_path(g) == _recursive_longest_induced_path(g) == ell
+            co_g = complement(g)
+            assert oracle_longest_induced_path(co_g) == _recursive_longest_induced_path(co_g)
 
 
 def test_longest_induced_path_examples():

@@ -1,7 +1,9 @@
 """Command-line front end: analyze, verify, generate, table.
 
 Output is JSON by default; ``--pretty`` switches to plain text.  Exit
-codes: 0 success, 1 verification failure, 2 usage or parse errors.
+codes: 0 success, 1 verification failure, 2 usage or parse errors, 3 an
+internal error (any uncaught exception, ``MemoryError`` and
+``RecursionError`` included), reported as one ``error:`` line.
 """
 
 import argparse
@@ -248,7 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"error: internal error ({type(exc).__name__})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

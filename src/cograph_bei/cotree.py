@@ -23,10 +23,6 @@ __all__ = [
     "P4Witness",
     "Union",
     "build_cotree",
-    "canonical_key",
-    "cotree_from_json_dict",
-    "cotree_leaves",
-    "cotree_size",
     "cotree_to_graph",
     "cotree_to_json_dict",
     "find_induced_p4",
@@ -201,7 +197,12 @@ def _fold(t: Cotree, leaf, node):
 @dataclass(frozen=True)
 class CotreeSummary:
     """Size, reg(S/J_G), alpha(G), i(G), c(G), the longest induced path
-    length ell and the canonical key of a cotree, from one fold."""
+    length ell and the canonical key of a cotree, from one fold.
+
+    The key encodes each node's kind and its sorted child keys, so it
+    does not depend on leaf labels or child order: equal keys mean
+    isomorphic cographs.
+    """
 
     size: int
     reg: int
@@ -236,14 +237,6 @@ def summarize_cotree(t: Cotree) -> CotreeSummary:
                                 lambda x, parts: _summary_rule(isinstance(x, Union), parts)))
 
 
-def cotree_leaves(t: Cotree) -> list:
-    return [x.v for x in _postorder(t) if isinstance(x, Leaf)]
-
-
-def cotree_size(t: Cotree) -> int:
-    return summarize_cotree(t).size
-
-
 def cotree_to_graph(t: Cotree) -> Graph:
     """Rebuild the graph a cotree represents, preserving leaf labels.
 
@@ -273,16 +266,6 @@ def cotree_to_graph(t: Cotree) -> Graph:
     return Graph(n, edges)
 
 
-def canonical_key(t: Cotree) -> bytes:
-    """Label-independent encoding; equal keys mean isomorphic cographs.
-
-    Leaves map to a fixed token and internal nodes encode their kind
-    plus the lexicographically sorted child keys, so the key does not
-    depend on leaf labels or child order.
-    """
-    return summarize_cotree(t).key
-
-
 # ---------------------------------------------------------------------------
 # free vertices
 
@@ -303,28 +286,3 @@ def cotree_to_json_dict(t: Cotree) -> dict:
         lambda x: {"kind": "leaf", "v": x.v + 1},
         lambda x, parts: {"kind": "union" if isinstance(x, Union) else "join", "children": parts},
     )
-
-
-def cotree_from_json_dict(d: dict) -> Cotree:
-    preorder = []
-    stack = [d]
-    while stack:
-        d = stack.pop()
-        try:
-            kind = d["kind"]
-        except (TypeError, KeyError):
-            raise CotreeError("cotree JSON needs a 'kind' field")
-        if kind == "leaf":
-            v = d.get("v")
-            if not isinstance(v, int) or v < 1:
-                raise CotreeError("leaf JSON needs a positive integer 'v'")
-            preorder.append(Leaf(v - 1))
-        elif kind in ("union", "join"):
-            children = list(d.get("children", ()))
-            if len(children) < 2:
-                raise CotreeError(f"{kind} node needs at least 2 children")
-            preorder.append((Union if kind == "union" else Join, len(children)))
-            stack.extend(reversed(children))
-        else:
-            raise CotreeError(f"unknown cotree node kind {kind!r}")
-    return _from_preorder(preorder)

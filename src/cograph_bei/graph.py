@@ -17,11 +17,7 @@ __all__ = [
     "connected_components",
     "cycle_graph",
     "disjoint_union",
-    "empty_graph",
-    "graph_from_json_dict",
     "graph_to_json_dict",
-    "induced_subgraph",
-    "is_complete",
     "is_connected",
     "join",
     "max_degree",
@@ -112,10 +108,6 @@ def _bits(mask: int):
 # small constructors
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def complete_graph(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 
@@ -204,29 +196,8 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def induced_subgraph(g: Graph, vs) -> Graph:
-    """Subgraph induced by ``vs``, relabeled 0.. in increasing vertex order."""
-    order = sorted(set(vs))
-    if not order:
-        raise ValueError("cannot induce on an empty vertex set")
-    if order[0] < 0 or order[-1] >= g.n:
-        raise ValueError(f"vertex set {order} out of range for n={g.n}")
-    index = {v: i for i, v in enumerate(order)}
-    keep = sum(1 << v for v in order)
-    edges = [
-        (index[u], index[v])
-        for u in order
-        for v in _bits(g._adj[u] & keep >> u << u)
-    ]
-    return Graph(len(order), edges)
-
-
 def max_degree(g: Graph) -> int:
     return max(m.bit_count() for m in g._adj)
-
-
-def is_complete(g: Graph) -> bool:
-    return g.edge_count == g.n * (g.n - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +220,11 @@ def parse_graph(text: str, format: str) -> Graph:
     raise ValueError(f"unknown graph format {format!r}")
 
 
+def _quote(raw: str) -> str:
+    """repr of an input line for an error message, cut after 60 characters."""
+    return repr(raw) if len(raw) <= 60 else f"{raw[:60]!r}..."
+
+
 def _parse_edgelist(text: str) -> Graph:
     n = None
     edges = []
@@ -260,7 +236,7 @@ def _parse_edgelist(text: str) -> Graph:
         if n is None:
             if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdecimal():
                 raise GraphParseError(
-                    f"line {lineno}: expected header 'n <count>', got {raw!r}"
+                    f"line {lineno}: expected header 'n <count>', got {_quote(raw)}"
                 )
             try:
                 n = int(tokens[1])
@@ -272,19 +248,18 @@ def _parse_edgelist(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: vertex count must be positive")
             continue
         if len(tokens) != 2:
-            raise GraphParseError(f"line {lineno}: expected 'u v', got {raw!r}")
+            raise GraphParseError(f"line {lineno}: expected 'u v', got {_quote(raw)}")
         a, b = tokens
+        # int() alone would also take a sign or underscores
+        if not (a.isdecimal() and b.isdecimal()):
+            raise GraphParseError(f"line {lineno}: non-integer endpoint in {_quote(raw)}")
         try:
-            # int() alone would also take a sign or underscores; it still
-            # refuses a decimal string longer than its digit limit
-            if not (a.isdecimal() and b.isdecimal()):
-                raise ValueError
             u, v = int(a), int(b)
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: non-integer endpoint in {raw!r}")
+        except ValueError:  # more digits than int() converts
+            u = v = 0
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphParseError(
-                f"line {lineno}: endpoint out of range 1..{n} in {raw!r}"
+                f"line {lineno}: endpoint out of range 1..{n} in {_quote(raw)}"
             )
         if u == v:
             raise GraphParseError(f"line {lineno}: loop edge at vertex {u}")
@@ -363,20 +338,6 @@ def to_graph6(g: Graph) -> str:
 def graph_to_json_dict(g: Graph) -> dict:
     """JSON form: ``{"n": n, "edges": [[u, v], ...]}`` with 1-based u < v."""
     return {"n": g.n, "edges": [[u + 1, v + 1] for u, v in g.edges()]}
-
-
-def graph_from_json_dict(d: dict) -> Graph:
-    try:
-        n = d["n"]
-        pairs = d["edges"]
-    except (TypeError, KeyError):
-        raise GraphParseError("graph JSON needs keys 'n' and 'edges'")
-    if not isinstance(n, int):
-        raise GraphParseError("graph JSON field 'n' must be an integer")
-    try:
-        return Graph(n, ((u - 1, v - 1) for u, v in pairs))
-    except (TypeError, ValueError) as exc:
-        raise GraphParseError(f"bad graph JSON: {exc}")
 
 
 def serialize_graph(g: Graph, format: str) -> str:

@@ -1,4 +1,4 @@
-"""Graph invariants via cotree recursions, plus brute-force oracles.
+"""The invariant report, plus brute-force oracles for its values.
 
 The independence number, the number of maximal independent sets and the
 number of maximal cliques all satisfy one-line rules over disjoint
@@ -11,34 +11,15 @@ on small graphs.
 from dataclasses import dataclass
 
 from .graph import Graph, _bits, complement
-from .cotree import Cotree, summarize_cotree
 
 __all__ = [
     "InvariantReport",
-    "alpha_cotree",
-    "count_max_cliques_cotree",
-    "count_max_indep_cotree",
     "oracle_longest_induced_path",
     "oracle_maximal_independent_sets",
 ]
 
 MAX_ORACLE_SET_VERTICES = 20
 MAX_ORACLE_PATH_VERTICES = 12
-
-
-def alpha_cotree(t: Cotree) -> int:
-    """Independence number: leaves count 1, unions add, joins take the max."""
-    return summarize_cotree(t).alpha
-
-
-def count_max_indep_cotree(t: Cotree) -> int:
-    """Number of maximal independent sets: unions multiply, joins add."""
-    return summarize_cotree(t).num_max_indep
-
-
-def count_max_cliques_cotree(t: Cotree) -> int:
-    """Number of maximal cliques: the complement-dual of the previous count."""
-    return summarize_cotree(t).num_max_cliques
 
 
 @dataclass(frozen=True)

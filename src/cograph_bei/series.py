@@ -21,7 +21,6 @@ __all__ = [
     "build_chain",
     "counterexample_base",
     "glue_graphs",
-    "poly_mul",
     "series_glue",
 ]
 
@@ -56,15 +55,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
@@ -127,11 +117,6 @@ class IntPoly:
         return " + ".join(terms)
 
 
-def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Convolution product; degree adds for nonzero inputs."""
-    return p * q
-
-
 class HilbertSeries:
     """Rational series numerator / (1-t)^denom_exp, kept reduced.
 
@@ -179,10 +164,6 @@ class HilbertSeries:
             "denom_exp": self.denom_exp,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "HilbertSeries":
-        return cls(IntPoly(int(c) for c in d["numerator"]), int(d["denom_exp"]))
-
 
 def series_glue(h1: HilbertSeries, h2: HilbertSeries) -> HilbertSeries:
     """Series of a free-vertex gluing: product times (1-t)^2."""
@@ -194,8 +175,7 @@ def series_glue(h1: HilbertSeries, h2: HilbertSeries) -> HilbertSeries:
 # ---------------------------------------------------------------------------
 # the counterexample family
 
-# 8-vertex base graph (1-based edges): reg = 4 while deg h = 3, the
-# smallest graph whose regularity exceeds its h-polynomial degree.
+# 8-vertex base graph (1-based edges): reg = 4 while deg h = 3.
 _BASE_EDGES = (
     (1, 8), (2, 6), (3, 7), (3, 8), (4, 5), (4, 8),
     (5, 6), (5, 7), (6, 7), (6, 8), (7, 8),

@@ -11,13 +11,13 @@ from hypothesis import given, strategies as st
 from cograph_bei import (
     P4Witness,
     build_cotree,
-    cotree_from_json_dict,
-    cotree_size,
     cotree_to_graph,
+    cotree_to_json_dict,
     graph_to_json_dict,
     max_reg_cograph,
 )
 from cograph_bei.graph import parse_graph
+from cograph_bei import cli
 from cograph_bei.cli import _json_text, main
 
 
@@ -108,6 +108,27 @@ def test_analyze_header_count_past_any_index(capsys, monkeypatch, digits):
     assert err == f"error: line 1: vertex count exceeds {sys.maxsize}\n"
 
 
+def test_analyze_endpoint_past_any_integer(capsys, monkeypatch):
+    # the error line quotes at most 60 characters of the input line
+    code, out, err = run(capsys, ["analyze"], stdin="n 3\n1 " + "9" * 5000 + "\n",
+                         monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2: endpoint out of range 1..3 in '1 999")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def out_of_memory(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_cotree", out_of_memory)
+    code, out, err = run(capsys, ["analyze"], stdin="n 2\n1 2\n", monkeypatch=monkeypatch)
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal error (MemoryError)\n"
+
+
 def test_cli_import_loads_only_the_standard_library():
     # the package has no runtime dependency, so importing the CLI in a
     # fresh interpreter may load nothing outside the standard library
@@ -171,12 +192,12 @@ def test_deep_threshold_graph_uses_no_frame_per_level(capsys, tmp_path):
         json_code = main(["analyze", str(f)])
     finally:
         sys.setrecursionlimit(limit)
-    assert not isinstance(t, P4Witness) and cotree_size(t) == n
+    assert not isinstance(t, P4Witness) and cotree_to_graph(t) == g
     assert code == 0
     assert "cograph: yes, reg(S/J_G) = 2" in pretty
     out, _ = capsys.readouterr()
     assert json_code == 0
-    assert cotree_to_graph(cotree_from_json_dict(json.loads(out)["cotree"])) == g
+    assert json.loads(out)["cotree"] == cotree_to_json_dict(t)
 
 
 json_values = st.recursive(

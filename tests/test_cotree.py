@@ -10,24 +10,17 @@ from cograph_bei import (
     Leaf,
     P4Witness,
     Union,
-    alpha_cotree,
     build_cotree,
-    canonical_key,
     complete_graph,
-    cotree_from_json_dict,
-    cotree_leaves,
-    cotree_size,
     cotree_to_graph,
     cotree_to_json_dict,
-    count_max_cliques_cotree,
-    count_max_indep_cotree,
     counterexample_base,
     cycle_graph,
-    empty_graph,
     find_induced_p4,
     is_simplicial,
     path_graph,
     reg_cograph,
+    summarize_cotree,
 )
 
 from strategies import cograph_classes, graphs, permute_graph
@@ -85,12 +78,14 @@ def test_build_cotree_examples():
 
     p3 = build_cotree(path_graph(3))
     assert isinstance(p3, Join)
-    assert canonical_key(p3) == canonical_key(Join((Leaf(0), Union((Leaf(1), Leaf(2))))))
+    assert summarize_cotree(p3).key == summarize_cotree(
+        Join((Leaf(0), Union((Leaf(1), Leaf(2)))))
+    ).key
     assert sorted(v for v in _leaf_labels(p3)) == [0, 1, 2]
 
     assert build_cotree(path_graph(4)) == P4Witness(0, 1, 2, 3)
     assert build_cotree(complete_graph(1)) == Leaf(0)
-    assert build_cotree(empty_graph(3)) == Union((Leaf(0), Leaf(1), Leaf(2)))
+    assert build_cotree(Graph(3)) == Union((Leaf(0), Leaf(1), Leaf(2)))
 
 
 def _leaf_labels(t):
@@ -158,12 +153,12 @@ def test_round_trip_on_all_small_cographs():
             rebuilt = build_cotree(g)
             assert not isinstance(rebuilt, P4Witness)
             assert cotree_to_graph(rebuilt) == g
-            assert canonical_key(rebuilt) == canonical_key(t)
+            assert summarize_cotree(rebuilt).key == summarize_cotree(t).key
 
 
 def test_cotree_to_graph_examples():
     assert cotree_to_graph(Join((Leaf(0), Leaf(1)))) == complete_graph(2)
-    assert cotree_to_graph(Union((Leaf(0), Leaf(1), Leaf(2)))) == empty_graph(3)
+    assert cotree_to_graph(Union((Leaf(0), Leaf(1), Leaf(2)))) == Graph(3)
 
 
 def test_cotree_to_graph_validation():
@@ -180,11 +175,12 @@ def test_cotree_to_graph_validation():
 
 
 def test_canonical_key_examples():
-    assert canonical_key(Join((Leaf(5), Leaf(9)))) == canonical_key(Join((Leaf(0), Leaf(1))))
+    k2 = summarize_cotree(Join((Leaf(0), Leaf(1)))).key
+    assert summarize_cotree(Join((Leaf(5), Leaf(9)))).key == k2
     p3 = build_cotree(path_graph(3))
     k3 = build_cotree(complete_graph(3))
-    assert canonical_key(p3) != canonical_key(k3)
-    assert canonical_key(p3) == b"J(L,U(L,L))"
+    assert summarize_cotree(p3).key != summarize_cotree(k3).key
+    assert summarize_cotree(p3).key == b"J(L,U(L,L))"
 
 
 @given(graphs(max_n=7))
@@ -194,14 +190,14 @@ def test_canonical_key_is_label_independent(g):
         return
     perm = list(range(g.n))[::-1]
     t2 = build_cotree(permute_graph(g, perm))
-    assert canonical_key(t) == canonical_key(t2)
+    assert summarize_cotree(t).key == summarize_cotree(t2).key
 
 
 def test_canonical_key_separates_iso_classes_up_to_6():
     # distinct keys within each n must mean non-isomorphic graphs, and
     # every graph must be isomorphic to itself under relabeling
     for n in range(1, 7):
-        reps = [(canonical_key(t), cotree_to_graph(t)) for t in cograph_classes(n)]
+        reps = [(summarize_cotree(t).key, cotree_to_graph(t)) for t in cograph_classes(n)]
         keys = [k for k, _ in reps]
         assert len(set(keys)) == len(keys)
         for i, (ki, gi) in enumerate(reps):
@@ -232,26 +228,16 @@ def test_exactly_one_of_graph_and_complement_connected():
             assert is_connected(g) == (not isinstance(t, Union))
 
 
-def test_cotree_json_round_trip():
-    t = build_cotree(path_graph(3))
-    d = cotree_to_json_dict(t)
-    assert d["kind"] == "join"
-    assert cotree_from_json_dict(d) == t
-    with pytest.raises(CotreeError):
-        cotree_from_json_dict({"kind": "leaf", "v": 0})
-    with pytest.raises(CotreeError):
-        cotree_from_json_dict({"kind": "union", "children": [{"kind": "leaf", "v": 1}]})
-
-    levels = DEEP_LEVELS
-    d = {"kind": "leaf", "v": 1}
-    for i in range(1, levels + 1):
-        d = {"kind": _level_kind(i), "children": [d, {"kind": "leaf", "v": i + 1}]}
-    node = cotree_from_json_dict(d)
-    for i in range(levels, 0, -1):
-        assert isinstance(node, Union if _level_kind(i) == "union" else Join)
-        assert len(node.children) == 2 and node.children[1] == Leaf(i)
-        node = node.children[0]
-    assert node == Leaf(0)
+def test_cotree_json_form():
+    leaf = {"kind": "leaf", "v": 1}
+    assert cotree_to_json_dict(Leaf(0)) == leaf
+    assert cotree_to_json_dict(build_cotree(path_graph(3))) == {
+        "kind": "join",
+        "children": [
+            {"kind": "union", "children": [leaf, {"kind": "leaf", "v": 3}]},
+            {"kind": "leaf", "v": 2},
+        ],
+    }
 
 
 # Ten thousand levels: far past the default recursion limit, so any walker
@@ -279,12 +265,9 @@ def test_every_wrapper_handles_a_deep_cotree():
         else:
             reg, indep = (1 if complete else max(2, reg)), indep + 1
     assert reg_cograph(t) == reg == 2
-    assert alpha_cotree(t) == alpha
-    assert count_max_indep_cotree(t) == indep
-    assert count_max_cliques_cotree(t) == cliques
-    assert cotree_size(t) == DEEP_LEVELS + 1
-    assert cotree_leaves(t) == list(range(DEEP_LEVELS + 1))
-    assert canonical_key(t) == key
+    s = summarize_cotree(t)
+    assert (s.size, s.reg, s.alpha, s.num_max_indep, s.num_max_cliques, s.key) == (
+        DEEP_LEVELS + 1, reg, alpha, indep, cliques, key)
 
     d = cotree_to_json_dict(t)
     for i in range(DEEP_LEVELS, 0, -1):

@@ -3,20 +3,20 @@ from itertools import combinations, permutations
 import pytest
 
 from cograph_bei import (
+    CheckResult,
     Graph,
     Leaf,
     P4Witness,
     Union,
     bound_comparison_table,
     build_cotree,
-    canonical_key,
     cotree_to_graph,
     enumerate_cotrees,
     p4_free_classes_by_exhaustion,
+    summarize_cotree,
     verify_theorems,
 )
 from cograph_bei import enumeration
-from cograph_bei.cotree import summarize_cotree
 from cograph_bei.enumeration import BOUND_NAMES, CHECK_NAMES
 
 # regression freeze of the class counts produced by the generator; the
@@ -37,18 +37,18 @@ def test_no_duplicate_keys_and_closure():
     for n in range(1, 9):
         keys = set()
         for t in enumerate_cotrees(n):
-            key = canonical_key(t)
+            key = summarize_cotree(t).key
             assert key not in keys
             keys.add(key)
             g = cotree_to_graph(t)
             rebuilt = build_cotree(g)
             assert not isinstance(rebuilt, P4Witness)
-            assert canonical_key(rebuilt) == key
+            assert summarize_cotree(rebuilt).key == key
 
 
 def test_enumeration_is_deterministic():
-    first = [canonical_key(t) for t in enumerate_cotrees(7)]
-    second = [canonical_key(t) for t in enumerate_cotrees(7)]
+    first = [summarize_cotree(t).key for t in enumerate_cotrees(7)]
+    second = [summarize_cotree(t).key for t in enumerate_cotrees(7)]
     assert first == second
     # disconnected classes first, then connected
     kinds = [isinstance(t, Union) for t in enumerate_cotrees(7)]
@@ -185,6 +185,19 @@ def test_mutated_regularity_rule_is_caught():
     # two disjoint 2-edge paths no longer look extremal under the bad rule
     assert "U(J(L,U(L,L)),J(L,U(L,L)))" in failures
     assert report.checks["order_bound_achieved"].failures  # cap no longer attained
+
+
+def test_a_zero_max_degree_fails_only_the_maxdeg_check(monkeypatch):
+    clean = verify_theorems(5).checks
+    monkeypatch.setattr(enumeration, "max_degree", lambda g: 0)
+    broken = verify_theorems(5).checks
+    # every connected class but the single vertex (reg 0) now exceeds the bound
+    assert clean["maxdeg_bound"] == CheckResult(21, [])
+    assert broken["maxdeg_bound"].graphs_checked == 21
+    assert len(broken["maxdeg_bound"].failures) == 20
+    assert "L" not in broken["maxdeg_bound"].failures
+    del clean["maxdeg_bound"], broken["maxdeg_bound"]
+    assert broken == clean
 
 
 def test_bound_table_structure():

@@ -10,20 +10,17 @@ from cograph_bei import (
     Join,
     Leaf,
     Union,
-    alpha_cotree,
     build_cotree,
     complement,
     complete_graph,
-    count_max_cliques_cotree,
-    count_max_indep_cotree,
     cotree_to_graph,
     cycle_graph,
     disjoint_union,
-    empty_graph,
     join,
     oracle_longest_induced_path,
     oracle_maximal_independent_sets,
     path_graph,
+    summarize_cotree,
 )
 
 from strategies import cograph_classes, cographs, graphs
@@ -44,21 +41,18 @@ def _dual(t):
     return kind(tuple(_dual(c) for c in t.children))
 
 
+def _alpha_indep_cliques(t):
+    s = summarize_cotree(t)
+    return s.alpha, s.num_max_indep, s.num_max_cliques
+
+
 def test_recursion_examples():
     for n in range(1, 6):
-        kn = build_cotree(complete_graph(n))
-        assert alpha_cotree(kn) == 1
-        assert count_max_indep_cotree(kn) == n
-        assert count_max_cliques_cotree(kn) == 1
-    p3 = build_cotree(path_graph(3))
-    assert alpha_cotree(p3) == 2
-    assert count_max_indep_cotree(p3) == 2
-    assert count_max_cliques_cotree(p3) == 2
+        assert _alpha_indep_cliques(build_cotree(complete_graph(n))) == (1, n, 1)
+    assert _alpha_indep_cliques(build_cotree(path_graph(3))) == (2, 2, 2)
     two_p3 = build_cotree(disjoint_union(path_graph(3), path_graph(3)))
-    assert alpha_cotree(two_p3) == 4
-    assert count_max_indep_cotree(two_p3) == 4
-    en = build_cotree(empty_graph(5))
-    assert count_max_cliques_cotree(en) == 5
+    assert _alpha_indep_cliques(two_p3)[:2] == (4, 4)
+    assert summarize_cotree(build_cotree(Graph(5))).num_max_cliques == 5
 
 
 def test_oracle_examples():
@@ -72,7 +66,7 @@ def test_oracle_examples():
         frozenset({0, 2}),
     ]
     with pytest.raises(ValueError, match="limited"):
-        oracle_maximal_independent_sets(empty_graph(21))
+        oracle_maximal_independent_sets(Graph(21))
 
 
 def test_recursions_match_oracles_small():
@@ -81,32 +75,32 @@ def test_recursions_match_oracles_small():
             g = cotree_to_graph(t)
             indep = oracle_maximal_independent_sets(g)
             cliques = oracle_maximal_independent_sets(complement(g))
-            assert alpha_cotree(t) == max(len(s) for s in indep)
-            assert count_max_indep_cotree(t) == len(indep)
-            assert count_max_cliques_cotree(t) == len(cliques)
+            assert _alpha_indep_cliques(t) == (
+                max(len(s) for s in indep), len(indep), len(cliques))
 
 
 def test_clique_count_is_complement_dual():
     for n in range(1, 8):
         for t in cograph_classes(n):
-            assert count_max_cliques_cotree(t) == count_max_indep_cotree(_dual(t))
+            assert summarize_cotree(t).num_max_cliques == summarize_cotree(_dual(t)).num_max_indep
 
 
 def test_alpha_at_most_clique_count():
     for n in range(1, 8):
         for t in cograph_classes(n):
-            assert alpha_cotree(t) <= count_max_cliques_cotree(t)
+            s = summarize_cotree(t)
+            assert s.alpha <= s.num_max_cliques
 
 
 @given(cographs(max_n=6), cographs(max_n=6))
 def test_union_and_join_recurrences(g, h):
-    tg, th = build_cotree(g), build_cotree(h)
-    tu = build_cotree(disjoint_union(g, h))
-    tj = build_cotree(join(g, h))
-    assert count_max_indep_cotree(tu) == count_max_indep_cotree(tg) * count_max_indep_cotree(th)
-    assert count_max_indep_cotree(tj) == count_max_indep_cotree(tg) + count_max_indep_cotree(th)
-    assert alpha_cotree(tu) == alpha_cotree(tg) + alpha_cotree(th)
-    assert alpha_cotree(tj) == max(alpha_cotree(tg), alpha_cotree(th))
+    sg, sh, su, sj = (
+        summarize_cotree(build_cotree(x)) for x in (g, h, disjoint_union(g, h), join(g, h))
+    )
+    assert su.num_max_indep == sg.num_max_indep * sh.num_max_indep
+    assert sj.num_max_indep == sg.num_max_indep + sh.num_max_indep
+    assert su.alpha == sg.alpha + sh.alpha
+    assert sj.alpha == max(sg.alpha, sh.alpha)
 
 
 def _recursive_longest_induced_path(g):
@@ -154,10 +148,10 @@ def test_longest_induced_path_on_paths_cycles_and_complements():
 def test_longest_induced_path_examples():
     assert oracle_longest_induced_path(path_graph(4)) == 3
     assert oracle_longest_induced_path(cycle_graph(5)) == 3
-    assert oracle_longest_induced_path(empty_graph(3)) == 0
+    assert oracle_longest_induced_path(Graph(3)) == 0
     assert oracle_longest_induced_path(complete_graph(6)) == 1
     with pytest.raises(ValueError, match="limited"):
-        oracle_longest_induced_path(empty_graph(13))
+        oracle_longest_induced_path(Graph(13))
 
 
 @given(graphs(max_n=10))

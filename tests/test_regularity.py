@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from cograph_bei import (
+    Graph,
     Join,
     Leaf,
     NotACographError,
@@ -9,22 +10,19 @@ from cograph_bei import (
     Union,
     bounds_report,
     build_cotree,
-    canonical_key,
     complete_graph,
     cone,
-    cotree_size,
     cotree_to_graph,
     cycle_graph,
     disjoint_union,
-    empty_graph,
     has_universal_vertex,
-    is_complete,
     is_extremal_characterized,
     join,
     oracle_longest_induced_path,
     order_bound,
     path_graph,
     reg_cograph,
+    summarize_cotree,
 )
 
 from strategies import cograph_classes, cographs, permute_graph
@@ -61,7 +59,7 @@ def test_reg_is_label_independent(g):
 @given(cographs(max_n=6), cographs(max_n=6))
 def test_reg_join_rule(g, h):
     joined = reg_of(join(g, h))
-    if is_complete(g) and is_complete(h):
+    if all(x.edge_count == x.n * (x.n - 1) // 2 for x in (g, h)):
         assert joined == 1
     else:
         assert joined == max(reg_of(g), reg_of(h), 2)
@@ -70,7 +68,7 @@ def test_reg_join_rule(g, h):
 @given(cographs(max_n=7))
 def test_reg_cone_invariance(g):
     c = cone(g)
-    if is_complete(g):
+    if g.edge_count == g.n * (g.n - 1) // 2:
         assert reg_of(c) == 1
     else:
         assert reg_of(c) == max(reg_of(g), 2)
@@ -133,7 +131,7 @@ def test_bounds_report_beyond_path_oracle_guard():
     assert rep.lower_bound_ell == 2
     assert rep.reg == 9 and rep.order_bound == 9
     # edgeless and union-of-cliques cases of the structural rule
-    assert bounds_report(empty_graph(15)).lower_bound_ell == 0
+    assert bounds_report(Graph(15)).lower_bound_ell == 0
     assert bounds_report(disjoint_union(complete_graph(7), complete_graph(7))).lower_bound_ell == 1
 
 
@@ -152,7 +150,7 @@ def test_extremal_characterization_examples():
     assert not is_extremal_characterized(build_cotree(complete_graph(6)))
     assert is_extremal_characterized(build_cotree(path_graph(2)))  # n=2, a=1
     assert is_extremal_characterized(build_cotree(path_graph(3)))  # n=3, a=0
-    assert not is_extremal_characterized(build_cotree(empty_graph(3)))
+    assert not is_extremal_characterized(build_cotree(Graph(3)))
     # n = 8 has a = 1, so four single edges carry too many P2 components
     four_p2 = disjoint_union(
         disjoint_union(path_graph(2), path_graph(2)),
@@ -175,14 +173,14 @@ def test_extremal_characterization_matches_tightness():
 
 # The family written out as a structural rule: every component is a
 # single edge or a 2-edge path, with exactly a single edges.
-P2_KEY = canonical_key(Join((Leaf(0), Leaf(1))))
-P3_KEY = canonical_key(Join((Leaf(0), Union((Leaf(1), Leaf(2))))))
+P2_KEY = summarize_cotree(Join((Leaf(0), Leaf(1)))).key
+P3_KEY = summarize_cotree(Join((Leaf(0), Union((Leaf(1), Leaf(2)))))).key
 
 
 def structural_rule(t):
     components = t.children if isinstance(t, Union) else (t,)
-    keys = [canonical_key(c) for c in components]
-    a = order_bound(cotree_size(t), False)[1]
+    keys = [summarize_cotree(c).key for c in components]
+    a = order_bound(summarize_cotree(t).size, False)[1]
     return all(key in (P2_KEY, P3_KEY) for key in keys) and keys.count(P2_KEY) == a
 
 

@@ -182,7 +182,7 @@ def _cmd_generate(args) -> int:
     if text is None:
         _emit(args, graph_to_json_dict(g), serialize_graph(g, "edgelist"))
     else:
-        print(text, end="")
+        print(text, end="" if text.endswith("\n") else "\n")  # graph6 lacks a line end
     return 0
 
 

@@ -16,7 +16,7 @@ often.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import Graph, _bits, complement, is_connected, max_degree
+from .graph import Graph, complement, is_connected, max_degree
 from .cotree import _LEAF_SUMMARY, Cotree, CotreeSummary, Join, Leaf, Union, _summary_rule
 from .invariants import oracle_longest_induced_path, oracle_maximal_independent_sets
 from .regularity import _extremal_key, has_universal_vertex, order_bound
@@ -282,17 +282,11 @@ def _classes(n_max: int, task: str):
     )
 
 
-def _graph(masks) -> Graph:
-    """The graph whose vertex v has adjacency mask ``masks[v]``."""
-    edges = ((u, v) for u, m in enumerate(masks) for v in _bits(m >> u + 1 << u + 1))
-    return Graph(len(masks), edges)
-
-
 def _check_graph(n: int, t: Cotree, summary, masks, extremal_key, reg_fn) -> tuple:
     """Outcome of every per-graph check; None marks a non-applicable check.
 
     ``extremal_key`` is ``max_reg_cograph(n)``'s canonical key, None when a = 2."""
-    g = _graph(masks)
+    g = Graph._from_masks(masks)
     reg = summary.reg if reg_fn is None else reg_fn(t)
     connected = not isinstance(t, Union)
     k, a, bound = order_bound(n, connected)
@@ -446,7 +440,7 @@ def bound_comparison_table(n_max: int, refined_order_bound: bool = True) -> Boun
             "num_max_cliques": summary.num_max_cliques,
             "num_max_indep": summary.num_max_indep,
             "alpha": summary.alpha,
-            "max_degree": max_degree(_graph(masks)) if connected else None,
+            "max_degree": max_degree(Graph._from_masks(masks)) if connected else None,
         }
         for r, rn in enumerate(BOUND_NAMES):
             if vals[rn] is None:

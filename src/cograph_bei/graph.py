@@ -61,6 +61,15 @@ class Graph:
         self.n = n
         self._adj = tuple(adj)
 
+    @classmethod
+    def _from_masks(cls, adj) -> "Graph":
+        """The graph whose vertex v has mask ``adj[v]``, unchecked: for masks the
+        package built, at least one, symmetric and loop-free."""
+        g = object.__new__(cls)
+        g.n = len(adj)
+        g._adj = tuple(adj)
+        return g
+
     def _mask(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
@@ -130,28 +139,23 @@ def cycle_graph(n: int) -> Graph:
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges."""
     full = (1 << g.n) - 1
-    return Graph(
-        g.n,
-        ((u, v) for u, m in enumerate(g._adj) for v in _bits(full & ~m >> u + 1 << u + 1)),
-    )
+    return Graph._from_masks([full ^ m ^ (1 << u) for u, m in enumerate(g._adj)])
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
     """Disjoint union; each graph's vertices are shifted past the ones before it."""
-    edges = []
-    offset = 0
+    adj = []
     for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
-        offset += g.n
-    return Graph(offset, edges)
+        offset = len(adj)
+        adj.extend(m << offset for m in g._adj)
+    return Graph._from_masks(adj) if adj else Graph(0)
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets."""
-    edges = g.edges()
-    edges.extend((u + g.n, v + g.n) for u, v in h.edges())
-    edges.extend((u, v + g.n) for u in range(g.n) for v in range(h.n))
-    return Graph(g.n + h.n, edges)
+    low = (1 << g.n) - 1
+    high = (1 << g.n + h.n) - 1 ^ low
+    return Graph._from_masks([m | high for m in g._adj] + [m << g.n | low for m in h._adj])
 
 
 def _components_within(g: Graph, vs: int, complemented: bool) -> list:
@@ -186,14 +190,11 @@ def _components_within(g: Graph, vs: int, complemented: bool) -> list:
 
 def connected_components(g: Graph) -> list:
     """Partition of the vertices into components, ordered by minimum vertex."""
-    return [
-        frozenset(_bits(c))
-        for c in _components_within(g, (1 << g.n) - 1, complemented=False)
-    ]
+    return [frozenset(_bits(c)) for c in _components_within(g, (1 << g.n) - 1, complemented=False)]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return len(_components_within(g, (1 << g.n) - 1, complemented=False)) == 1
 
 
 def max_degree(g: Graph) -> int:
@@ -228,7 +229,8 @@ def _quote(raw: str) -> str:
 def _parse_edgelist(text: str) -> Graph:
     n = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only \n, \r\n and \r end a line; str.splitlines() would also split at \f, \v, ...
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

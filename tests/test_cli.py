@@ -118,6 +118,15 @@ def test_analyze_endpoint_past_any_integer(capsys, monkeypatch):
     assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
+def test_analyze_counts_only_real_line_ends(capsys, monkeypatch):
+    # a form feed ends no line: the bad line is line 3, and "1\f2" is the edge 1-2
+    code, out, err = run(capsys, ["analyze"], stdin="n 3\n1 2\x0c\n1 x\n",
+                         monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: line 3: non-integer endpoint in '1 x'\n")
+    code, out, _ = run(capsys, ["analyze"], stdin="n 2\n1\x0c2\n", monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["invariants"]["max_degree"] == "1"
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def out_of_memory(g):
         raise MemoryError
@@ -254,7 +263,7 @@ def test_generate_maxreg_formats(capsys):
     assert out == "n 4\n1 2\n3 4\n"
     code, out, _ = run(capsys, ["generate", "maxreg", "--n", "2", "--format", "graph6"])
     assert code == 0
-    assert out.strip() == "A_"
+    assert out == "A_\n"  # one graph per line, like the edge-list form
 
 
 def test_generate_cone(capsys):

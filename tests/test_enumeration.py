@@ -69,7 +69,7 @@ def test_shape_data_matches_the_cotree():
     for n, t, summary, masks in enumeration._classes(9, "the walk"):
         g = cotree_to_graph(t)
         assert Graph(n, [(u, v) for u, m in enumerate(masks) for v in range(n) if m >> v & 1]) == g
-        assert enumeration._graph(masks) == g
+        assert Graph._from_masks(masks) == g
         assert summary == summarize_cotree(t)
         classes += 1
     assert classes == sum(CLASS_COUNTS[n] for n in range(1, 10))
@@ -197,6 +197,30 @@ def test_a_zero_max_degree_fails_only_the_maxdeg_check(monkeypatch):
     assert len(broken["maxdeg_bound"].failures) == 20
     assert "L" not in broken["maxdeg_bound"].failures
     del clean["maxdeg_bound"], broken["maxdeg_bound"]
+    assert broken == clean
+
+
+@pytest.mark.parametrize(
+    "helper,stub,moved",
+    [
+        # G as its own complement: "exactly one of G and co-G is connected" fails
+        # for every n >= 2, and the clique oracle then counts independent sets
+        ("complement", lambda g: g, {"complement_connectivity": 106, "invariant_recursions": 90}),
+        # n edges, longer than any induced path on n vertices: ell <= reg fails everywhere
+        ("oracle_longest_induced_path", lambda g: g.n, {"induced_path_bounds": 107}),
+    ],
+    ids=["identity-complement", "path-of-n-edges"],
+)
+def test_a_broken_helper_fails_only_its_checks(monkeypatch, helper, stub, moved):
+    clean = verify_theorems(6).checks
+    monkeypatch.setattr(enumeration, helper, stub)
+    broken = verify_theorems(6).checks
+    assert clean["connected_max_is_cone"].failures == [C4_KEY]
+    for name, count in moved.items():
+        assert clean[name].failures == []
+        assert broken[name].graphs_checked == clean[name].graphs_checked
+        assert len(broken[name].failures) == count
+        del clean[name], broken[name]
     assert broken == clean
 
 

@@ -2,7 +2,7 @@ import sys
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from cograph_bei import (
     Graph,
@@ -21,6 +21,7 @@ from cograph_bei import (
     to_edgelist,
     to_graph6,
 )
+from cograph_bei.graph import _bits
 
 from strategies import graphs
 
@@ -80,11 +81,25 @@ def test_parse_edgelist_examples():
         # a decimal endpoint past int()'s digit limit is out of range
         pytest.param("n 3\n1 " + "9" * 5000, "out of range 1\\.\\.3 in '1 9{58}'\\.\\.\\.$",
                      id="5000-digits"),
+        # only \n, \r\n and \r end a line; a form feed inside a line separates tokens
+        pytest.param("n 3\n1 2\x0c\n1 x\n", "^line 3: non-integer endpoint in '1 x'$",
+                     id="formfeed-ends-no-line"),
+        pytest.param("n 3\n1\x0c2\n1 x", "^line 3: non-integer endpoint in '1 x'$",
+                     id="formfeed-between-endpoints"),
+        pytest.param("n 3\r\n1 2\r1 x", "^line 3: non-integer endpoint in '1 x'$", id="crlf-and-cr"),
     ],
 )
 def test_parse_edgelist_errors(text, pattern):
     with pytest.raises(GraphParseError, match=pattern):
         parse_graph(text, "edgelist")
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_parse_edgelist_splitlines_breaks_are_whitespace(sep):
+    # str.splitlines() ends a line at each of these; the edge-list format does not
+    with pytest.raises(GraphParseError, match="^line 3: non-integer"):
+        parse_graph(f"n 3\n1 2{sep}\n1 x", "edgelist")
+    assert parse_graph(f"n 3\n1{sep}2\n2 3{sep}", "edgelist") == path_graph(3)
 
 
 @pytest.mark.parametrize(
@@ -209,3 +224,68 @@ def test_max_degree_and_is_complete():
     assert complete_graph(5).edge_count == 10
     assert complete_graph(1).edge_count == 0
     assert path_graph(3).edge_count < 3
+
+
+# The edge-list forms of complement, disjoint union and join that the
+# mask-built ones replaced, kept as independent references.
+
+
+def _complement_by_edges(g):
+    full = (1 << g.n) - 1
+    return Graph(
+        g.n,
+        ((u, v) for u, m in enumerate(g._adj) for v in _bits(full & ~m >> u + 1 << u + 1)),
+    )
+
+
+def _disjoint_union_by_edges(*graphs):
+    edges = []
+    offset = 0
+    for g in graphs:
+        edges.extend((u + offset, v + offset) for u, v in g.edges())
+        offset += g.n
+    return Graph(offset, edges)
+
+
+def _join_by_edges(g, h):
+    edges = g.edges()
+    edges.extend((u + g.n, v + g.n) for u, v in h.edges())
+    edges.extend((u, v + g.n) for u in range(g.n) for v in range(h.n))
+    return Graph(g.n + h.n, edges)
+
+
+def _assert_same_graph(built, reference):
+    """built has symmetric, loop-free masks and is indistinguishable from
+    the graph Graph(n, edges) makes of its edges."""
+    adj = built._adj
+    assert type(adj) is tuple and len(adj) == built.n
+    for u, m in enumerate(adj):
+        assert 0 <= m < 1 << built.n and not m >> u & 1
+        assert all(adj[v] >> u & 1 for v in _bits(m))
+    twin = Graph(built.n, built.edges())
+    assert built == twin == reference and hash(built) == hash(twin) == hash(reference)
+    assert built.edges() == twin.edges() == reference.edges()
+    assert repr(built) == repr(twin) == repr(reference)
+
+
+@given(graphs(max_n=10))
+def test_complement_matches_the_edge_built_one(g):
+    _assert_same_graph(complement(g), _complement_by_edges(g))
+
+
+@given(st.lists(graphs(max_n=5), max_size=4))
+@example([])
+@example([Graph(1)])
+@example([Graph(2, [(0, 1)])])
+def test_disjoint_union_matches_the_edge_built_one(gs):
+    if not gs:
+        for build in (disjoint_union, _disjoint_union_by_edges):
+            with pytest.raises(ValueError, match="^vertex count must be positive, got 0$"):
+                build()
+        return
+    _assert_same_graph(disjoint_union(*gs), _disjoint_union_by_edges(*gs))
+
+
+@given(graphs(max_n=6), graphs(max_n=6))
+def test_join_matches_the_edge_built_one(g, h):
+    _assert_same_graph(join(g, h), _join_by_edges(g, h))

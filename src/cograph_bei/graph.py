@@ -6,6 +6,8 @@ convention in the combinatorics literature; parsers and serializers
 translate between the two.
 """
 
+import operator
+import re
 import sys
 from itertools import combinations
 
@@ -212,10 +214,13 @@ def parse_graph(text: str, format: str) -> Graph:
     line oriented: ``#`` starts a comment, blank lines are skipped, the
     first payload line is the header ``n <count>``, and every following
     line is one ``u v`` pair with 1-based endpoints.  Duplicate edges are
-    accepted silently (set semantics); loops are an error.
+    accepted silently (set semantics); loops are an error.  A plain edge
+    list is parsed in bulk; any other text, and every faulty one, goes
+    through the line-by-line parse, which words each error.
     """
     if format == "edgelist":
-        return _parse_edgelist(text)
+        g = _parse_edgelist_bulk(text)
+        return _parse_edgelist_lines(text) if g is None else g
     if format == "graph6":
         return _parse_graph6(text)
     raise ValueError(f"unknown graph format {format!r}")
@@ -226,11 +231,71 @@ def _quote(raw: str) -> str:
     return repr(raw) if len(raw) <= 60 else f"{raw[:60]!r}..."
 
 
-def _parse_edgelist(text: str) -> Graph:
+def _one_line_end(text: str) -> str:
+    # only \n, \r\n and \r end a line; str.splitlines() would also split at \f, \v, ...
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+_EDGE_LINE = r"[ \t]*[0-9]+[ \t]+[0-9]+[ \t]*"
+_EDGE_LINES = re.compile(rf"(?:{_EDGE_LINE}\n)*{_EDGE_LINE}")
+_CHUNK_CHARS = 1 << 15
+
+
+def _parse_edgelist_bulk(text: str):
+    """The graph of a plain edge list, or None when only the line loop can tell.
+
+    Plain means: no ``#``; a header count of at most 7 ASCII digits and
+    at most 2 * (payload lines) + 1, so the work stays in proportion to
+    the text; and, from the first edge to the last, no blank line and
+    every line ``u v`` in ASCII digits without leading zeros, in range
+    and no loop.  The payload is checked and converted in chunks of
+    about 32 KB cut at line ends, each by a few calls that loop in C,
+    and a chunk's tokens are dropped before the next is cut.  None is
+    no verdict: ``_parse_edgelist_lines`` then accepts the text or
+    words its error.
+    """
+    if "#" in text:
+        return None
+    # leading blank lines and the header's own indent go with lstrip
+    header, _, body = _one_line_end(text).lstrip().partition("\n")
+    header = header.split()
+    if not (len(header) == 2 and header[0] == "n" and len(header[1]) <= 7
+            and header[1].isascii() and header[1].isdigit()):
+        return None
+    n = int(header[1])
+    body = body.strip()  # blank lines before the first edge and after the last
+    if not 1 <= n <= 2 * (body.count("\n") + bool(body)) + 1:
+        return None
+    index = {str(i): i - 1 for i in range(1, n + 1)}  # no "0", "01", "\u0661" or "n + 1"
+    adj = [0] * n
+    start = 0
+    while start < len(body):
+        stop = body.find("\n", start + _CHUNK_CHARS)
+        if stop < 0:
+            stop = len(body)
+        chunk = body[start:stop]
+        start = stop + 1
+        if not _EDGE_LINES.fullmatch(chunk):
+            return None
+        try:
+            ends = list(map(index.__getitem__, chunk.split()))
+        except KeyError:
+            return None
+        us, vs = ends[0::2], ends[1::2]
+        if any(map(operator.eq, us, vs)):
+            return None
+        for u, v in zip(us, vs):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph._from_masks(adj)
+
+
+def _parse_edgelist_lines(text: str) -> Graph:
+    """The line-by-line parse: accepts every edge list the format allows
+    and words every error with its line number."""
     n = None
     edges = []
-    # only \n, \r\n and \r end a line; str.splitlines() would also split at \f, \v, ...
-    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+    for lineno, raw in enumerate(_one_line_end(text).split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -74,6 +74,72 @@ MUTANTS = [
         "tests/test_enumeration.py::test_a_zero_max_degree_fails_only_the_maxdeg_check",
     ),
     (
+        "the order bound is never checked",
+        "src/cograph_bei/enumeration.py",
+        'res["order_bound"] = reg <= bound',
+        'res["order_bound"] = True',
+        "tests/test_enumeration.py::test_a_broken_helper_fails_only_its_checks"
+        "[connected-cap-minus-one]",
+    ),
+    (
+        "the independence bounds are never checked",
+        "src/cograph_bei/enumeration.py",
+        'res["indep_bounds"] = reg <= min(summary.num_max_indep, summary.alpha)',
+        'res["indep_bounds"] = True',
+        "tests/test_enumeration.py::test_a_broken_helper_fails_only_its_checks"
+        "[no-maximal-independent-sets]",
+    ),
+    (
+        "the clique bound is never checked",
+        "src/cograph_bei/enumeration.py",
+        'res["clique_bound"] = reg <= summary.num_max_cliques',
+        'res["clique_bound"] = True',
+        "tests/test_enumeration.py::test_a_broken_helper_fails_only_its_checks"
+        "[no-maximal-cliques]",
+    ),
+    (
+        "the bulk parser's range table takes the endpoint n + 1",
+        "src/cograph_bei/graph.py",
+        "index = {str(i): i - 1 for i in range(1, n + 1)}",
+        "index = {str(i): i - 1 for i in range(1, n + 2)}",
+        "tests/test_graph.py::test_bulk_parser_agrees_with_the_line_loop",
+    ),
+    (
+        "the bulk parser lets loops through",
+        "src/cograph_bei/graph.py",
+        "        if any(map(operator.eq, us, vs)):\n            return None\n",
+        "",
+        "tests/test_graph.py::test_bulk_parser_agrees_with_the_line_loop",
+    ),
+    (
+        "the bulk parser sets one side of each edge",
+        "src/cograph_bei/graph.py",
+        "            adj[v] |= 1 << u\n    return Graph._from_masks(adj)",
+        "    return Graph._from_masks(adj)",
+        "tests/test_graph.py::test_bulk_parser_agrees_with_the_line_loop",
+    ),
+    (
+        "the bulk parser skips the shape check",
+        "src/cograph_bei/graph.py",
+        "        if not _EDGE_LINES.fullmatch(chunk):\n            return None\n",
+        "",
+        "tests/test_graph.py::test_bulk_parser_agrees_with_the_line_loop",
+    ),
+    (
+        "the bulk parser drops a chunk's first character",
+        "src/cograph_bei/graph.py",
+        "start = stop + 1",
+        "start = stop + 2",
+        "tests/test_graph.py::test_a_fault_in_a_later_chunk_reaches_the_line_loop",
+    ),
+    (
+        "the bulk parser allocates for any header count",
+        "src/cograph_bei/graph.py",
+        "if not 1 <= n <= 2 * (body.count(\"\\n\") + bool(body)) + 1:",
+        "if not 1 <= n:",
+        "tests/test_graph.py::test_a_large_header_count_allocates_nothing_before_a_bad_line",
+    ),
+    (
         "the path oracle's bound forgets the next vertex",
         "src/cograph_bei/invariants.py",
         "if length + 1 + rest.bit_count() <= best:",

@@ -108,6 +108,14 @@ def test_analyze_header_count_past_any_index(capsys, monkeypatch, digits):
     assert err == f"error: line 1: vertex count exceeds {sys.maxsize}\n"
 
 
+def test_analyze_large_header_count_then_bad_line(capsys, monkeypatch):
+    # the count is checked against the payload before anything is allocated
+    # for it, so the bad line is an exit-2 parse error, not a MemoryError
+    code, out, err = run(capsys, ["analyze"], stdin="n 100000000000\n1 x\n",
+                         monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: line 2: non-integer endpoint in '1 x'\n")
+
+
 def test_analyze_endpoint_past_any_integer(capsys, monkeypatch):
     # the error line quotes at most 60 characters of the input line
     code, out, err = run(capsys, ["analyze"], stdin="n 3\n1 " + "9" * 5000 + "\n",

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
 
 from cograph_bei import (
     CheckResult,
+    CotreeSummary,
     Graph,
     Leaf,
     P4Witness,
@@ -14,6 +16,7 @@ from cograph_bei import (
     enumerate_cotrees,
     p4_free_classes_by_exhaustion,
     summarize_cotree,
+    order_bound,
     verify_theorems,
 )
 from cograph_bei import enumeration
@@ -208,8 +211,20 @@ def test_a_zero_max_degree_fails_only_the_maxdeg_check(monkeypatch):
         ("complement", lambda g: g, {"complement_connectivity": 106, "invariant_recursions": 90}),
         # n edges, longer than any induced path on n vertices: ell <= reg fails everywhere
         ("oracle_longest_induced_path", lambda g: g.n, {"induced_path_bounds": 107}),
+        # the connected cap 2k - a - 1 lowered by one: every connected class at the cap
+        # fails; the disconnected cap, which order_bound_achieved reads, stays
+        ("order_bound", lambda n, connected: (*order_bound(n, connected)[:2],
+                                              order_bound(n, connected)[2] - connected),
+         {"order_bound": 19}),
+        # corrupted summaries: a zero count fails its bound on every class with reg > 0
+        # (all but the 6 edgeless ones) and the recursion check on every class
+        ("CotreeSummary", lambda *fields: replace(CotreeSummary(*fields), num_max_indep=0),
+         {"indep_bounds": 101, "invariant_recursions": 107}),
+        ("CotreeSummary", lambda *fields: replace(CotreeSummary(*fields), num_max_cliques=0),
+         {"clique_bound": 101, "invariant_recursions": 107}),
     ],
-    ids=["identity-complement", "path-of-n-edges"],
+    ids=["identity-complement", "path-of-n-edges", "connected-cap-minus-one",
+         "no-maximal-independent-sets", "no-maximal-cliques"],
 )
 def test_a_broken_helper_fails_only_its_checks(monkeypatch, helper, stub, moved):
     clean = verify_theorems(6).checks

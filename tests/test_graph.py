@@ -1,4 +1,6 @@
 import sys
+import time
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -21,7 +23,8 @@ from cograph_bei import (
     to_edgelist,
     to_graph6,
 )
-from cograph_bei.graph import _bits
+from cograph_bei import graph as graph_module
+from cograph_bei.graph import _bits, _parse_edgelist_bulk, _parse_edgelist_lines
 
 from strategies import graphs
 
@@ -289,3 +292,130 @@ def test_disjoint_union_matches_the_edge_built_one(gs):
 @given(graphs(max_n=6), graphs(max_n=6))
 def test_join_matches_the_edge_built_one(g, h):
     _assert_same_graph(join(g, h), _join_by_edges(g, h))
+
+
+# The bulk edge-list parser against the line loop it falls back to.  The
+# bulk path may give up on any text (None), but when it returns a graph
+# it must be the line loop's; parse_graph must always agree with the loop.
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphParseError as exc:
+        return f"GraphParseError: {exc}"
+
+
+def _assert_parsers_agree(text):
+    """parse_graph gives the line loop's graph or error, and the bulk path
+    that graph or None; returns the bulk path's answer."""
+    expected = _outcome(_parse_edgelist_lines, text)
+    assert _outcome(lambda t: parse_graph(t, "edgelist"), text) == expected
+    bulk = _parse_edgelist_bulk(text)
+    if bulk is not None:
+        assert isinstance(expected, Graph)
+        _assert_same_graph(bulk, expected)
+    return bulk
+
+
+# (text, whether the bulk path itself parses it)
+_PARSE_CASES = [
+    ("# a path\nn 3\n1 2\n2 3\n", False),
+    ("n 3\n1 2\n\n2 3\n", False),  # blank line between edges
+    ("\n \nn 3\n\n1 2\n2 3\n\n\n", True),  # blank lines only around the edges
+    ("n 3\r\n1 2\r\n2 3\r\n", True),
+    ("n 3\r1 2\r2 3", True),
+    ("n 3\n1\t2  \n\t2 3\t", True),  # tabs, trailing spaces, no final line end
+    ("n 1\n", True),
+    ("n 1", True),
+    ("n 3\n", False),  # more vertices than the payload could touch
+    ("# one\n# two\nn 2\n1 2\n", False),
+    ("n 3\n1 2\n2 1\n1 2\n2 3\n", True),  # duplicate edges
+    ("n 3\n1 2\n2 2\n", False),
+    ("n 3\n1 2\n0 3\n", False),
+    ("n 3\n1 2\n1 4\n", False),
+    ("n 3\n01 2\n2 3\n", False),  # accepted by the line loop
+    ("n 03\n1 2\n", True),
+    ("n 3\n١ ٢\n2 3\n", False),  # Arabic-Indic digits
+    ("n 3\n１ ２\n2 3\n", False),  # full-width digits
+    ("n ３\n1 2\n", False),
+    ("n 3\n1\xa02\n2 3\n", False),
+    ("n 3\n1\x0c2\n2 3\n", False),
+    ("n 3\n1 2 3\n", False),
+    ("n 3\n1 +2\n", False),
+    ("n 3\n1 2 # edge\n", False),
+    ("n 0\n", False),
+    ("n 3 4\n1 2\n", False),
+    ("", False),
+    ("1 2\n", False),
+]
+
+
+@pytest.mark.parametrize("text,bulk_parses", _PARSE_CASES)
+def test_bulk_parser_agrees_with_the_line_loop(text, bulk_parses):
+    assert (_assert_parsers_agree(text) is not None) == bulk_parses
+
+
+# lines the bulk path must not accept; each replaces one edge line
+_FAULTS = ["# comment", "", "   ", "1 1", "0 1", "301 1", "01 2", "١ 2", "１ 2",
+           "1\xa02", "1\x0c2", "1 2 3", "1", "a b", "-1 2", "1 2\x85"]
+
+
+def test_a_fault_in_a_later_chunk_reaches_the_line_loop():
+    # about 80 KB of payload: three chunks of the bulk path
+    n = 300
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1, 4)]
+    lines = [f"{u} {v}" for u, v in pairs]
+    assert len("\n".join(lines)) > 2 * graph_module._CHUNK_CHARS
+    text = f"n {n}\n" + "\n".join(lines) + "\n"
+    assert _assert_parsers_agree(text) == Graph(n, [(u - 1, v - 1) for u, v in pairs])
+    for at in (len(lines) // 2, len(lines) - 2):  # the middle chunk, the last one
+        for fault in _FAULTS:
+            faulty = lines[:at] + [fault] + lines[at + 1:]
+            assert _parse_edgelist_bulk(f"n {n}\n" + "\n".join(faulty) + "\n") is None
+
+
+@st.composite
+def edgelist_texts(draw):
+    """A random edge list, maybe with extra tabs and spaces, maybe with one
+    fault; and whether the bulk path should parse it itself."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                          .filter(lambda p: p[0] != p[1]), max_size=12))
+    spaced = draw(st.booleans())
+    sep = draw(st.sampled_from(["\t", "  ", " \t "])) if spaced else " "
+    lines = [f"n {n}"] + [f"{u}{sep}{v}" for u, v in pairs]
+    if spaced:
+        lines = [draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " "]))
+                 for line in lines]
+    faulty = draw(st.booleans())
+    if faulty:
+        fault = draw(st.sampled_from(_FAULTS + [f"{n} {n}", f"{n + 1} 1", f"0{n} 1"]))
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text, not faulty and n <= 2 * len(pairs) + 1
+
+
+@given(edgelist_texts())
+def test_bulk_parser_agrees_with_the_line_loop_on_random_texts(case):
+    text, bulk_parses = case
+    bulk = _assert_parsers_agree(text)
+    if bulk_parses:
+        assert bulk is not None
+
+
+@pytest.mark.parametrize("count", ["100000000000", "100000"])
+def test_a_large_header_count_allocates_nothing_before_a_bad_line(count):
+    # the count is neither allocated nor looped over: the bad line decides
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(f"n {count}\n1 x\n", "edgelist")
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "line 2: non-integer endpoint in '1 x'"
+    assert elapsed < 0.5 and peak < 1 << 20

@@ -3,133 +3,20 @@
 Recognition with induced-P4 certificates, exact regularity by cotree
 recursion, every known upper bound with exhaustive verification on all
 small cographs, and exact Hilbert series arithmetic for free-vertex
-gluings.
+gluings.  The package exports exactly the names in each module's
+``__all__``.
 """
 
-from .graph import (
-    Graph,
-    GraphParseError,
-    complement,
-    complete_graph,
-    connected_components,
-    cycle_graph,
-    disjoint_union,
-    graph_to_json_dict,
-    is_connected,
-    join,
-    max_degree,
-    parse_graph,
-    path_graph,
-    serialize_graph,
-    to_edgelist,
-    to_graph6,
-)
-from .cotree import (
-    Cotree,
-    CotreeError,
-    CotreeSummary,
-    Join,
-    Leaf,
-    P4Witness,
-    Union,
-    build_cotree,
-    cotree_to_graph,
-    cotree_to_json_dict,
-    find_induced_p4,
-    is_simplicial,
-    summarize_cotree,
-)
-from .invariants import (
-    InvariantReport,
-    oracle_longest_induced_path,
-    oracle_maximal_independent_sets,
-)
-from .regularity import (
-    NotACographError,
-    RegularityReport,
-    bounds_report,
-    has_universal_vertex,
-    is_extremal_characterized,
-    order_bound,
-    reg_cograph,
-)
-from .extremal import cone, connected_with_reg, max_reg_cograph
-from .series import (
-    ChainReport,
-    HilbertSeries,
-    IntPoly,
-    build_chain,
-    counterexample_base,
-    glue_graphs,
-    series_glue,
-)
-from .enumeration import (
-    BoundTable,
-    CheckResult,
-    VerificationReport,
-    bound_comparison_table,
-    enumerate_cotrees,
-    p4_free_classes_by_exhaustion,
-    verify_theorems,
-)
+from . import cotree, enumeration, extremal, graph, invariants, regularity, series
+from .graph import *
+from .cotree import *
+from .invariants import *
+from .regularity import *
+from .extremal import *
+from .series import *
+from .enumeration import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundTable",
-    "ChainReport",
-    "CheckResult",
-    "Cotree",
-    "CotreeError",
-    "CotreeSummary",
-    "Graph",
-    "GraphParseError",
-    "HilbertSeries",
-    "IntPoly",
-    "InvariantReport",
-    "Join",
-    "Leaf",
-    "NotACographError",
-    "P4Witness",
-    "RegularityReport",
-    "Union",
-    "VerificationReport",
-    "bound_comparison_table",
-    "bounds_report",
-    "build_chain",
-    "build_cotree",
-    "complement",
-    "complete_graph",
-    "cone",
-    "connected_components",
-    "connected_with_reg",
-    "counterexample_base",
-    "cotree_to_graph",
-    "cotree_to_json_dict",
-    "cycle_graph",
-    "disjoint_union",
-    "enumerate_cotrees",
-    "find_induced_p4",
-    "glue_graphs",
-    "graph_to_json_dict",
-    "has_universal_vertex",
-    "is_connected",
-    "is_extremal_characterized",
-    "is_simplicial",
-    "join",
-    "max_degree",
-    "max_reg_cograph",
-    "oracle_longest_induced_path",
-    "oracle_maximal_independent_sets",
-    "order_bound",
-    "p4_free_classes_by_exhaustion",
-    "parse_graph",
-    "path_graph",
-    "reg_cograph",
-    "serialize_graph",
-    "series_glue",
-    "summarize_cotree",
-    "to_edgelist",
-    "to_graph6",
-    "verify_theorems",
-]
+__all__ = sorted(name for module in (cotree, enumeration, extremal, graph, invariants,
+                                     regularity, series) for name in module.__all__)

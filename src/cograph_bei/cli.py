@@ -160,29 +160,31 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    # only a bad parameter exits 2: a builder's refusal, or a graph too
+    # large for the short graph6 form; any later fault is the program's
     try:
-        if args.kind == "maxreg":
-            g = max_reg_cograph(args.n)
-        elif args.kind == "cone":
-            g = connected_with_reg(args.r)
-        else:
+        if args.kind == "chain":
             report = build_chain(args.k)
-            pretty = (
-                f"chain of {report.k} copies: {report.n_vertices} vertices, "
-                f"reg {report.reg}, h-degree {report.h_degree}, gap {report.gap}\n"
-                f"series: {report.series}\n"
-                + serialize_graph(report.graph, "edgelist")
-            )
-            _emit(args, report.to_json_dict(), pretty)
-            return 0
-        text = None if args.format == "json" else serialize_graph(g, args.format)
+        else:
+            g = max_reg_cograph(args.n) if args.kind == "maxreg" else connected_with_reg(args.r)
+            g6 = serialize_graph(g, "graph6") if args.format == "graph6" else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if text is None:
+    if args.kind == "chain":
+        pretty = (
+            f"chain of {report.k} copies: {report.n_vertices} vertices, "
+            f"reg {report.reg}, h-degree {report.h_degree}, gap {report.gap}\n"
+            f"series: {report.series}\n"
+            + serialize_graph(report.graph, "edgelist")
+        )
+        _emit(args, report.to_json_dict(), pretty)
+    elif args.format == "json":
         _emit(args, graph_to_json_dict(g), serialize_graph(g, "edgelist"))
+    elif args.format == "graph6":
+        print(g6)  # graph6 has no line end of its own
     else:
-        print(text, end="" if text.endswith("\n") else "\n")  # graph6 lacks a line end
+        print(serialize_graph(g, "edgelist"), end="")
     return 0
 
 
@@ -250,11 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # counts and series coefficients can pass Python's limit on the digits
+    # str() writes; the setting is process-wide, so it is put back after
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except Exception as exc:
         print(f"error: internal error ({type(exc).__name__})", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

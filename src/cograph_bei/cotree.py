@@ -23,10 +23,7 @@ __all__ = [
     "P4Witness",
     "Union",
     "build_cotree",
-    "cotree_to_graph",
     "cotree_to_json_dict",
-    "find_induced_p4",
-    "is_simplicial",
     "summarize_cotree",
 ]
 
@@ -108,11 +105,6 @@ def _find_p4_within(g: Graph, vs: int) -> P4Witness | None:
                     path = (z, d, x, y) if adj[x] >> d & 1 else (z, d, y, x)
                 return P4Witness(*(path if path[0] < path[3] else path[::-1]))
     return None
-
-
-def find_induced_p4(g: Graph) -> P4Witness | None:
-    """First induced P4 in lexicographic quadruple order, or None."""
-    return _find_p4_within(g, (1 << g.n) - 1)
 
 
 def build_cotree(g: Graph):
@@ -235,45 +227,6 @@ def summarize_cotree(t: Cotree) -> CotreeSummary:
     """Size, regularity, invariants, ell and canonical key of t in one pass."""
     return CotreeSummary(*_fold(t, lambda x: _LEAF_SUMMARY,
                                 lambda x, parts: _summary_rule(isinstance(x, Union), parts)))
-
-
-def cotree_to_graph(t: Cotree) -> Graph:
-    """Rebuild the graph a cotree represents, preserving leaf labels.
-
-    The leaf labels must be exactly 0..n-1.  Invariant violations
-    (nodes with fewer than two children, a union child of a union, a
-    join child of a join, bad labels) raise :class:`CotreeError`.
-    """
-    edges = []
-
-    def merge(x, parts) -> list:
-        if len(parts) < 2:
-            raise CotreeError("internal cotree nodes need at least 2 children")
-        kind = type(x)
-        for c in x.children:
-            if isinstance(c, kind):
-                raise CotreeError("union/join nodes must alternate")
-        if isinstance(x, Join):
-            for i, p in enumerate(parts):
-                for q in parts[i + 1:]:
-                    edges.extend((u, v) for u in p for v in q)
-        return [v for p in parts for v in p]
-
-    labels = _fold(t, lambda x: [x.v], merge)
-    n = len(labels)
-    if sorted(labels) != list(range(n)):
-        raise CotreeError(f"leaf labels must be exactly 0..{n - 1}, got {sorted(labels)}")
-    return Graph(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# free vertices
-
-
-def is_simplicial(g: Graph, v: int) -> bool:
-    """True iff the neighborhood of v induces a complete subgraph."""
-    nbrs = g._mask(v)
-    return all(nbrs & ~g._adj[u] == 1 << u for u in _bits(nbrs))
 
 
 # ---------------------------------------------------------------------------

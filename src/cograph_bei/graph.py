@@ -16,7 +16,6 @@ __all__ = [
     "GraphParseError",
     "complement",
     "complete_graph",
-    "connected_components",
     "cycle_graph",
     "disjoint_union",
     "graph_to_json_dict",
@@ -190,11 +189,6 @@ def _components_within(g: Graph, vs: int, complemented: bool) -> list:
     return comps
 
 
-def connected_components(g: Graph) -> list:
-    """Partition of the vertices into components, ordered by minimum vertex."""
-    return [frozenset(_bits(c)) for c in _components_within(g, (1 << g.n) - 1, complemented=False)]
-
-
 def is_connected(g: Graph) -> bool:
     return len(_components_within(g, (1 << g.n) - 1, complemented=False)) == 1
 
@@ -290,6 +284,11 @@ def _parse_edgelist_bulk(text: str):
     return Graph._from_masks(adj)
 
 
+# int() takes time quadratic in the digits; past Python's default cap on
+# them a token is out of range, whatever limit the process has set
+_MAX_DIGITS = sys.int_info.default_max_str_digits
+
+
 def _parse_edgelist_lines(text: str) -> Graph:
     """The line-by-line parse: accepts every edge list the format allows
     and words every error with its line number."""
@@ -305,10 +304,7 @@ def _parse_edgelist_lines(text: str) -> Graph:
                 raise GraphParseError(
                     f"line {lineno}: expected header 'n <count>', got {_quote(raw)}"
                 )
-            try:
-                n = int(tokens[1])
-            except ValueError:  # more digits than int() converts
-                n = sys.maxsize + 1
+            n = int(tokens[1]) if len(tokens[1]) <= _MAX_DIGITS else sys.maxsize + 1
             if n > sys.maxsize:
                 raise GraphParseError(f"line {lineno}: vertex count exceeds {sys.maxsize}")
             if n < 1:
@@ -320,10 +316,7 @@ def _parse_edgelist_lines(text: str) -> Graph:
         # int() alone would also take a sign or underscores
         if not (a.isdecimal() and b.isdecimal()):
             raise GraphParseError(f"line {lineno}: non-integer endpoint in {_quote(raw)}")
-        try:
-            u, v = int(a), int(b)
-        except ValueError:  # more digits than int() converts
-            u = v = 0
+        u, v = (int(a), int(b)) if max(len(a), len(b)) <= _MAX_DIGITS else (0, 0)
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphParseError(
                 f"line {lineno}: endpoint out of range 1..{n} in {_quote(raw)}"

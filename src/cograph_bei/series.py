@@ -12,7 +12,6 @@ regularity exceeds the h-polynomial degree by any prescribed amount.
 from dataclasses import dataclass
 
 from .graph import Graph, graph_to_json_dict
-from .cotree import is_simplicial
 
 __all__ = [
     "ChainReport",
@@ -20,7 +19,6 @@ __all__ = [
     "IntPoly",
     "build_chain",
     "counterexample_base",
-    "glue_graphs",
     "series_glue",
 ]
 
@@ -66,18 +64,6 @@ class IntPoly:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
         return IntPoly(out)
-
-    def __pow__(self, exp: int) -> "IntPoly":
-        if exp < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = IntPoly((1,))
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
 
     def divide_by_one_minus_t(self) -> "IntPoly":
         """Exact quotient by (1 - t); requires the value at 1 to vanish."""
@@ -197,35 +183,6 @@ def counterexample_base():
     return g, series, _BASE_REG
 
 
-def glue_graphs(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
-    """Identify v2 of g2 with v1 of g1; both must be simplicial.
-
-    The result has n1 + n2 - 1 vertices: g1 keeps its labels and the
-    remaining g2 vertices follow in increasing order.  A non-simplicial
-    gluing vertex raises ValueError, since the regularity and Hilbert
-    series gluing rules require a vertex that is free on both sides.
-    """
-    for g, v, side in ((g1, v1, "first"), (g2, v2, "second")):
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for the {side} graph")
-        if not is_simplicial(g, v):
-            raise ValueError(
-                f"vertex {v} of the {side} graph is not simplicial; "
-                "gluing requires a free vertex on both sides"
-            )
-    relabel = {}
-    nxt = g1.n
-    for w in range(g2.n):
-        if w == v2:
-            relabel[w] = v1
-        else:
-            relabel[w] = nxt
-            nxt += 1
-    edges = list(g1.edges())
-    edges.extend((relabel[u], relabel[w]) for u, w in g2.edges())
-    return Graph(g1.n + g2.n - 1, edges)
-
-
 @dataclass(frozen=True)
 class ChainReport:
     k: int
@@ -261,7 +218,9 @@ def build_chain(k: int) -> ChainReport:
     base_graph, base_series, base_reg = counterexample_base()
     # Copy i keeps label 7i + w for base vertex w >= 1; from the second
     # copy on, its vertex 0 is glued onto vertex 1 of copy i - 1, which
-    # is label 7i - 6.  These are the labels repeated glue_graphs gives.
+    # is label 7i - 6.  Gluing each new copy's vertex 0 onto the chain's
+    # last free vertex, with its other vertices numbered next in order,
+    # gives these labels.
     edges = []
     for i in range(k):
         label = [7 * i - 6 if i else 0] + [7 * i + w for w in range(1, 8)]

@@ -140,6 +140,42 @@ MUTANTS = [
         "tests/test_graph.py::test_a_large_header_count_allocates_nothing_before_a_bad_line",
     ),
     (
+        "a connected maximizer always counts as a cone",
+        "src/cograph_bei/enumeration.py",
+        'res["connected_max_is_cone"] = reg != target or has_universal_vertex(g)',
+        'res["connected_max_is_cone"] = True',
+        "tests/test_enumeration.py::test_the_universal_vertex_test_moves_only_the_cone_check"
+        "[never-universal]",
+    ),
+    (
+        "the CLI keeps Python's digit limit on its output",
+        "src/cograph_bei/cli.py",
+        "    sys.set_int_max_str_digits(0)\n",
+        "",
+        "tests/test_cli.py::test_analyze_answers_past_the_digit_limit",
+    ),
+    (
+        "the CLI leaves the digit limit lifted",
+        "src/cograph_bei/cli.py",
+        "    finally:\n        sys.set_int_max_str_digits(limit)\n",
+        "",
+        "tests/test_cli.py::test_analyze_answers_past_the_digit_limit",
+    ),
+    (
+        "generate maps a fault in writing the chain to exit 2",
+        "src/cograph_bei/cli.py",
+        "            report = build_chain(args.k)\n",
+        "            report = build_chain(args.k)\n            serialize_graph(report.graph, \"edgelist\")\n",
+        "tests/test_cli.py::test_generate_exits_3_for_a_fault_after_the_build",
+    ),
+    (
+        "the line loop converts tokens of any length",
+        "src/cograph_bei/graph.py",
+        "_MAX_DIGITS = sys.int_info.default_max_str_digits",
+        "_MAX_DIGITS = sys.maxsize",
+        "tests/test_graph.py::test_the_line_loop_ignores_a_lifted_digit_limit",
+    ),
+    (
         "the path oracle's bound forgets the next vertex",
         "src/cograph_bei/invariants.py",
         "if length + 1 + rest.bit_count() <= best:",

@@ -4,7 +4,9 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from cograph_bei import Graph, cotree_to_graph, enumerate_cotrees
+from cograph_bei import Graph, enumerate_cotrees
+
+from reference import cotree_to_graph
 
 _CLASS_CACHE = {}
 

@@ -19,21 +19,18 @@ import pytest
 from cograph_bei import (
     IntPoly,
     bound_comparison_table,
-    build_cotree,
     complete_graph,
     cone,
     counterexample_base,
     disjoint_union,
     enumerate_cotrees,
-    glue_graphs,
-    is_simplicial,
     p4_free_classes_by_exhaustion,
     path_graph,
-    reg_cograph,
     verify_theorems,
 )
 from cograph_bei.enumeration import BOUND_NAMES
 
+from reference import glue_graphs, is_simplicial, reg_of
 from test_series import schoolbook_mul
 
 
@@ -48,10 +45,6 @@ def verification9():
     start = time.perf_counter()
     report = verify_theorems(9)
     return report, time.perf_counter() - start
-
-
-def reg_of(g):
-    return reg_cograph(build_cotree(g))
 
 
 def test_criterion_01_known_regularity_values():

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -10,8 +11,8 @@ from hypothesis import given, strategies as st
 
 from cograph_bei import (
     P4Witness,
+    build_chain,
     build_cotree,
-    cotree_to_graph,
     cotree_to_json_dict,
     graph_to_json_dict,
     max_reg_cograph,
@@ -19,6 +20,8 @@ from cograph_bei import (
 from cograph_bei.graph import parse_graph
 from cograph_bei import cli
 from cograph_bei.cli import _json_text, main
+
+from reference import cotree_to_graph
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -144,6 +147,54 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: internal error (MemoryError)\n"
+
+
+@contextlib.contextmanager
+def _digit_limit(digits):
+    # 640 is the lowest limit Python allows: 663-digit answers stand in
+    # for the 4300-digit ones that the default limit refuses
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_analyze_answers_past_the_digit_limit(capsys, tmp_path):
+    # a perfect matching on 4400 vertices has 2^2200 maximal independent sets
+    path = tmp_path / "matching.el"
+    path.write_text("n 4400\n" + "".join(f"{2 * i + 1} {2 * i + 2}\n" for i in range(2200)))
+    with _digit_limit(640):
+        code, out, err = run(capsys, ["analyze", str(path)])
+        pretty_code, pretty, pretty_err = run(capsys, ["analyze", str(path), "--pretty"])
+        assert sys.get_int_max_str_digits() == 640
+    assert (code, err, pretty_code, pretty_err) == (0, "", 0, "")
+    assert int(json.loads(out)["regularity"]["bound_i"]) == 2 ** 2200
+    assert f", i {2 ** 2200}, " in pretty
+
+
+def test_generate_chain_past_the_digit_limit(capsys):
+    # at k = 420 the largest numerator coefficient has 662 digits
+    with _digit_limit(640):
+        code, out, err = run(capsys, ["generate", "chain", "--k", "420"])
+        assert sys.get_int_max_str_digits() == 640
+    assert (code, err) == (0, "")
+    numerator = [int(c) for c in json.loads(out)["series"]["numerator"]]
+    assert numerator == list(build_chain(420).series.numerator.coeffs)
+
+
+def test_generate_exits_3_for_a_fault_after_the_build(capsys, monkeypatch):
+    # only the builders' ValueErrors are bad parameters; one from writing
+    # the answer is the program's fault
+    def broken(g, format):
+        raise ValueError("a fault in the writer")
+
+    monkeypatch.setattr(cli, "serialize_graph", broken)
+    for argv in (["generate", "maxreg", "--n", "6", "--format", "edgelist"],
+                 ["generate", "chain", "--k", "2"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (3, "", "error: internal error (ValueError)\n")
 
 
 def test_cli_import_loads_only_the_standard_library():

@@ -12,17 +12,15 @@ from cograph_bei import (
     Union,
     build_cotree,
     complete_graph,
-    cotree_to_graph,
     cotree_to_json_dict,
     counterexample_base,
     cycle_graph,
-    find_induced_p4,
-    is_simplicial,
     path_graph,
     reg_cograph,
     summarize_cotree,
 )
 
+from reference import cotree_to_graph, find_induced_p4, is_simplicial
 from strategies import cograph_classes, graphs, permute_graph
 
 

@@ -12,7 +12,6 @@ from cograph_bei import (
     Union,
     bound_comparison_table,
     build_cotree,
-    cotree_to_graph,
     enumerate_cotrees,
     p4_free_classes_by_exhaustion,
     summarize_cotree,
@@ -21,6 +20,8 @@ from cograph_bei import (
 )
 from cograph_bei import enumeration
 from cograph_bei.enumeration import BOUND_NAMES, CHECK_NAMES
+
+from reference import cotree_to_graph
 
 # regression freeze of the class counts produced by the generator; the
 # values up to n = 7 are independently confirmed by the graph-space
@@ -236,6 +237,28 @@ def test_a_broken_helper_fails_only_its_checks(monkeypatch, helper, stub, moved)
         assert broken[name].graphs_checked == clean[name].graphs_checked
         assert len(broken[name].failures) == count
         del clean[name], broken[name]
+    assert broken == clean
+
+
+@pytest.mark.parametrize(
+    "stub,failures",
+    [
+        # every connected maximizer a cone: the 4-cycle no longer fails
+        (lambda g: True, 0),
+        # none a cone: every connected maximizer fails, the 4-cycle among them
+        (lambda g: False, 5),
+    ],
+    ids=["always-universal", "never-universal"],
+)
+def test_the_universal_vertex_test_moves_only_the_cone_check(monkeypatch, stub, failures):
+    clean = verify_theorems(6).checks
+    monkeypatch.setattr(enumeration, "has_universal_vertex", stub)
+    broken = verify_theorems(6).checks
+    cone, broken_cone = clean.pop("connected_max_is_cone"), broken.pop("connected_max_is_cone")
+    assert cone.failures == [C4_KEY]
+    assert broken_cone.graphs_checked == cone.graphs_checked
+    assert len(broken_cone.failures) == failures
+    assert (C4_KEY in broken_cone.failures) == bool(failures)
     assert broken == clean
 
 

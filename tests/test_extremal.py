@@ -15,9 +15,8 @@ from cograph_bei import (
     reg_cograph,
 )
 
+from reference import reg_of
 
-def reg_of(g):
-    return reg_cograph(build_cotree(g))
 
 
 def test_max_reg_cograph_examples():

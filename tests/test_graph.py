@@ -11,7 +11,6 @@ from cograph_bei import (
     GraphParseError,
     complement,
     complete_graph,
-    connected_components,
     cycle_graph,
     disjoint_union,
     graph_to_json_dict,
@@ -26,6 +25,7 @@ from cograph_bei import (
 from cograph_bei import graph as graph_module
 from cograph_bei.graph import _bits, _parse_edgelist_bulk, _parse_edgelist_lines
 
+from reference import connected_components, to_nx
 from strategies import graphs
 
 
@@ -116,6 +116,21 @@ def test_parse_edgelist_count_past_any_index(count):
     assert str(info.value) == f"line 1: vertex count exceeds {sys.maxsize}"
 
 
+def test_the_line_loop_ignores_a_lifted_digit_limit():
+    # the CLI lifts Python's limit on int() digits while it runs; a token
+    # past the default limit must still be out of range, not converted in
+    # time quadratic in its length
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(GraphParseError, match="^line 2: endpoint out of range 1..3"):
+            parse_graph("n 3\n1 " + "0" * 5000 + "2\n", "edgelist")
+        with pytest.raises(GraphParseError, match="^line 1: vertex count exceeds"):
+            parse_graph("n " + "0" * 5000 + "3\n1 2\n", "edgelist")
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_parse_graph6_k3():
     assert parse_graph("Bw", "graph6") == complete_graph(3)
     assert to_graph6(complete_graph(3)) == "Bw"
@@ -133,13 +148,6 @@ def test_parse_graph6_errors():
         parse_graph("D", "graph6")  # missing body
 
 
-def _to_nx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
-
-
 @given(graphs(max_n=20))
 def test_graph6_round_trip_against_networkx(g):
     encoded = to_graph6(g)
@@ -148,7 +156,7 @@ def test_graph6_round_trip_against_networkx(g):
     assert h.number_of_nodes() == g.n
     assert {tuple(sorted(e)) for e in h.edges()} == set(g.edges())
     # independent encoder
-    expected = nx.to_graph6_bytes(_to_nx(g), header=False).decode("ascii").strip()
+    expected = nx.to_graph6_bytes(to_nx(g), header=False).decode("ascii").strip()
     assert encoded == expected
     assert parse_graph(encoded, "graph6") == g
 

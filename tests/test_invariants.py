@@ -13,7 +13,6 @@ from cograph_bei import (
     build_cotree,
     complement,
     complete_graph,
-    cotree_to_graph,
     cycle_graph,
     disjoint_union,
     join,
@@ -23,14 +22,8 @@ from cograph_bei import (
     summarize_cotree,
 )
 
+from reference import cotree_to_graph, to_nx
 from strategies import cograph_classes, cographs, graphs
-
-
-def _to_networkx(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
 
 
 def _dual(t):
@@ -156,7 +149,7 @@ def test_longest_induced_path_examples():
 
 @given(graphs(max_n=10))
 def test_independent_sets_match_networkx_cliques_of_complement(g):
-    cliques = nx.find_cliques(nx.complement(_to_networkx(g)))
+    cliques = nx.find_cliques(nx.complement(to_nx(g)))
     expected = sorted(map(frozenset, cliques), key=lambda s: (len(s), sorted(s)))
     assert oracle_maximal_independent_sets(g) == expected
 
@@ -165,7 +158,7 @@ def test_independent_sets_match_networkx_cliques_of_complement(g):
 def test_longest_induced_path_matches_subset_brute_force(g):
     # a vertex set induces a path iff it is connected with k - 1 edges
     # and maximum degree at most 2
-    h = _to_networkx(g)
+    h = to_nx(g)
     best = 0
     for k in range(2, g.n + 1):
         for vs in combinations(range(g.n), k):

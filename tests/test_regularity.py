@@ -12,7 +12,6 @@ from cograph_bei import (
     build_cotree,
     complete_graph,
     cone,
-    cotree_to_graph,
     cycle_graph,
     disjoint_union,
     has_universal_vertex,
@@ -25,11 +24,8 @@ from cograph_bei import (
     summarize_cotree,
 )
 
+from reference import cotree_to_graph, reg_of
 from strategies import cograph_classes, cographs, permute_graph
-
-
-def reg_of(g):
-    return reg_cograph(build_cotree(g))
 
 
 def test_reg_examples():
